@@ -45,9 +45,8 @@ inline void emit_json_line(const std::string& name, const std::string& placer,
 
 /// The annealing-engine counterpart: one line per (engine, beta) cell of
 /// bench_perf_sa's engine comparison. `identical_best` records whether
-/// the engine reproduced the reference (copy-engine) placement anchor
-/// for anchor — the delta engine's contract (the fused engine is
-/// versioned off that stream and reports false by design). The stats
+/// the delta engine reproduced the copying oracle's placement anchor for
+/// anchor — the delta engine's contract. The stats
 /// fields attribute where proposal time goes: acceptance counts plus
 /// per-move-kind proposal/acceptance tallies.
 inline void emit_engine_json_line(const std::string& name,
@@ -88,41 +87,6 @@ inline void emit_scaling_json_line(int modules, double beta,
             << ",\"wall_seconds\":" << wall_seconds << ",\"identical\":"
             << (identical_best ? "true" : "false") << ",\"seed\":" << seed
             << "}\n";
-}
-
-/// The portfolio-race counterpart: one line per (backend, replica count)
-/// cell of bench_perf_sa's wall-clock-to-target race. `target_cost` is
-/// the serial kFused run's best cost; `seconds_to_target` is the time at
-/// which this row first reached it (for the portfolio rows: CRITICAL-PATH
-/// time — the sum over exchange intervals of the slowest replica's
-/// segment plus the serial exchange passes, i.e. the elapsed wall of the
-/// same run on >= N free hardware threads); `reached` records whether it
-/// ever did; `speedup` is the serial baseline's seconds-to-target over
-/// this row's (1 on the baseline's own row, 0 when not reached).
-inline void emit_portfolio_json_line(int modules, const std::string& backend,
-                                     const std::string& engine, int replicas,
-                                     double target_cost, double best_cost,
-                                     bool reached, double seconds_to_target,
-                                     double wall_seconds, double speedup,
-                                     const AnnealingStats& stats,
-                                     std::uint64_t seed = kBenchSeed) {
-  const double hit_rate =
-      stats.speculated > 0
-          ? static_cast<double>(stats.speculation_hits) /
-                static_cast<double>(stats.speculated)
-          : 0.0;
-  std::cout << "{\"bench\":\"perf_sa_portfolio\",\"modules\":" << modules
-            << ",\"backend\":\"" << backend << "\",\"engine\":\"" << engine
-            << "\",\"replicas\":" << replicas << ",\"target_cost\":"
-            << target_cost << ",\"best_cost\":" << best_cost
-            << ",\"reached\":" << (reached ? "true" : "false")
-            << ",\"seconds_to_target\":" << seconds_to_target
-            << ",\"wall_seconds\":" << wall_seconds << ",\"speedup\":"
-            << speedup << ",\"proposals_per_second\":"
-            << stats.proposals_per_second << ",\"exchanges_attempted\":"
-            << stats.exchanges_attempted << ",\"exchanges_accepted\":"
-            << stats.exchanges_accepted << ",\"speculation_hit_rate\":"
-            << hit_rate << ",\"seed\":" << seed << "}\n";
 }
 
 /// The routing counterpart: one line per router backend, with the route

@@ -4,30 +4,21 @@
 // 1.0 GHz Pentium-III).
 //
 // Before the Google-Benchmark suite runs, the binary
-//   1. anneals the paper's Fig. 7 configuration once per engine
-//      (copy / delta / fused), and once per engine again with beta > 0
-//      (the two-stage LTSA objective), emitting one JSON line per
-//      (engine, beta) cell:
+//   1. anneals the paper's Fig. 7 configuration with the delta engine
+//      and with its copying oracle (tests/oracles/copy_annealer.h), and
+//      again with beta > 0 (the two-stage LTSA objective), emitting one
+//      JSON line per (engine, beta) cell:
 //        {"bench":"perf_sa","engine":"delta","beta":0,...,"moves":{...}}
 //   2. sweeps seeded random assays from ~10 to ~200 modules and runs
 //      the copy-vs-delta comparison at every size, emitting one
 //      {"bench":"perf_sa_scaling",...} line per (size, beta, engine)
 //      cell — the recorded artifact showing the delta engine's
 //      advantage growing with instance size.
-//   3. races the "portfolio" backend against the serial kFused engine
-//      on the largest sweep instance (~226 modules): every row records
-//      the wall-clock to first reach the serial run's best cost
-//      (critical-path time for the portfolio — what the same run costs
-//      on >= N free hardware threads), across replica counts
-//      {1, 2, 4, 8}, emitting one {"bench":"perf_sa_portfolio",...}
-//      line per (backend, N) cell.
 //
-// It exits non-zero when the delta engine is slower than the copy
-// engine or their final placements differ anywhere — including at any
-// swept size — or when the portfolio at N >= 4 replicas fails to reach
-// the serial target faster than the serial baseline did: the CI shape
-// checks. `--smoke` shrinks the schedules, sweep and race instance and
-// skips the microbenchmarks (CI Release job).
+// It exits non-zero when the delta engine is slower than the copying
+// oracle or their final placements differ anywhere — including at any
+// swept size: the CI shape checks. `--smoke` shrinks the schedules and
+// the sweep and skips the microbenchmarks (CI Release job).
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -37,7 +28,7 @@
 #include "assay/random_assay.h"
 #include "core/cost.h"
 #include "core/moves.h"
-#include "core/portfolio_placer.h"
+#include "oracles/copy_annealer.h"
 #include "util/rng.h"
 
 namespace {
@@ -57,12 +48,12 @@ Placement greedy_pcr_placement() {
 
 // --- engine comparison ------------------------------------------------
 
-/// One (engine, beta) comparison cell annealed from `initial`.
-PlacementOutcome run_engine(AnnealingEngine engine, const Placement& initial,
-                            const SaPlacerOptions& base) {
-  SaPlacerOptions options = base;
-  options.engine = engine;
-  return anneal_from(initial, options);
+/// One comparison cell annealed from `initial`: the delta engine, or
+/// (`copy`) its copying oracle.
+PlacementOutcome run_engine(bool copy, const Placement& initial,
+                            const SaPlacerOptions& options) {
+  return copy ? oracle::anneal_copy(initial, options)
+              : anneal_from(initial, options);
 }
 
 bool same_placement(const Placement& a, const Placement& b) {
@@ -76,32 +67,23 @@ bool same_placement(const Placement& a, const Placement& b) {
   return true;
 }
 
-/// Runs the three engines on one configuration, emits their JSON lines,
-/// and returns whether the delta engine held its contract (identical
-/// best placement, no slower than the copy engine). Runs are interleaved
-/// and each engine reports its best proposals/sec of `rounds` runs, so
-/// CPU frequency drift biases no side. The fused engine is versioned
-/// off the legacy stream, so its placement legitimately differs; it is
-/// reported for the trajectory, not shape-checked against copy.
+/// Runs the delta engine and its copying oracle on one configuration,
+/// emits their JSON lines, and returns whether the delta engine held its
+/// contract (identical best placement, no slower than the oracle). Runs
+/// are interleaved and each side reports its best proposals/sec of
+/// `rounds` runs, so CPU frequency drift biases neither.
 bool compare_engines(const char* label, const Placement& initial,
                      const SaPlacerOptions& options, int rounds) {
-  PlacementOutcome copy = run_engine(AnnealingEngine::kCopy, initial, options);
-  PlacementOutcome delta =
-      run_engine(AnnealingEngine::kDelta, initial, options);
-  PlacementOutcome fused =
-      run_engine(AnnealingEngine::kFused, initial, options);
+  PlacementOutcome copy = run_engine(/*copy=*/true, initial, options);
+  PlacementOutcome delta = run_engine(/*copy=*/false, initial, options);
   for (int round = 1; round < rounds; ++round) {
-    PlacementOutcome c = run_engine(AnnealingEngine::kCopy, initial, options);
+    PlacementOutcome c = run_engine(/*copy=*/true, initial, options);
     if (c.stats.proposals_per_second > copy.stats.proposals_per_second) {
       copy = std::move(c);
     }
-    PlacementOutcome d = run_engine(AnnealingEngine::kDelta, initial, options);
+    PlacementOutcome d = run_engine(/*copy=*/false, initial, options);
     if (d.stats.proposals_per_second > delta.stats.proposals_per_second) {
       delta = std::move(d);
-    }
-    PlacementOutcome f = run_engine(AnnealingEngine::kFused, initial, options);
-    if (f.stats.proposals_per_second > fused.stats.proposals_per_second) {
-      fused = std::move(f);
     }
   }
   const bool identical = same_placement(copy.placement, delta.placement);
@@ -116,36 +98,26 @@ bool compare_engines(const char* label, const Placement& initial,
                                delta.stats.proposals_per_second,
                                delta.stats.wall_seconds, identical,
                                delta.stats, options.seed);
-  bench::emit_engine_json_line("perf_sa", "fused", options.weights.beta,
-                               fused.cost.value,
-                               fused.stats.proposals_per_second,
-                               fused.stats.wall_seconds,
-                               same_placement(copy.placement, fused.placement),
-                               fused.stats, options.seed);
   const double speedup =
       copy.stats.proposals_per_second > 0.0
           ? delta.stats.proposals_per_second / copy.stats.proposals_per_second
           : 0.0;
-  const double fused_speedup =
-      copy.stats.proposals_per_second > 0.0
-          ? fused.stats.proposals_per_second / copy.stats.proposals_per_second
-          : 0.0;
   std::cout << label << ": delta/copy speedup " << speedup
             << "x (copy " << copy.stats.proposals_per_second
             << " proposals/s, delta " << delta.stats.proposals_per_second
-            << " proposals/s), fused/copy " << fused_speedup
-            << "x, placements " << (identical ? "identical" : "DIFFER")
-            << "\n";
+            << " proposals/s), placements "
+            << (identical ? "identical" : "DIFFER") << "\n";
 
   bool ok = true;
   if (!identical) {
     std::cerr << "SHAPE CHECK FAILED: " << label
-              << ": copy and delta engines returned different placements\n";
+              << ": copying oracle and delta engine returned different"
+                 " placements\n";
     ok = false;
   }
   if (speedup < 1.0) {
     std::cerr << "SHAPE CHECK FAILED: " << label
-              << ": delta engine slower than copy engine (" << speedup
+              << ": delta engine slower than the copying oracle (" << speedup
               << "x)\n";
     ok = false;
   }
@@ -213,10 +185,8 @@ bool sweep_point(const Schedule& schedule, int canvas, double beta,
   const Placement initial =
       make_placer("greedy")->place(schedule, greedy_context).placement;
 
-  const PlacementOutcome copy =
-      run_engine(AnnealingEngine::kCopy, initial, options);
-  const PlacementOutcome delta =
-      run_engine(AnnealingEngine::kDelta, initial, options);
+  const PlacementOutcome copy = run_engine(/*copy=*/true, initial, options);
+  const PlacementOutcome delta = run_engine(/*copy=*/false, initial, options);
   const bool identical = same_placement(copy.placement, delta.placement);
 
   bench::emit_scaling_json_line(modules, beta, "copy",
@@ -296,168 +266,6 @@ bool run_scaling_sweep(bool smoke) {
   return ok;
 }
 
-// --- portfolio wall-clock-to-target race ------------------------------
-
-/// The race instance: the scaling sweep's largest seeded random assay
-/// (mixes = 128 schedules to ~226 modules; smoke shrinks to mixes = 64,
-/// still large enough that the race is not timing noise), built with
-/// the sweep's exact parameters so the portfolio rows and the scaling
-/// rows describe the same workload.
-Schedule race_schedule(bool smoke, int* canvas_out) {
-  const ModuleLibrary library = ModuleLibrary::standard();
-  const int mixes = smoke ? 64 : 128;
-  RandomAssayParams params;
-  params.mix_operations = mixes;
-  params.max_layer_width = std::max(4, mixes / 4);
-  params.max_concurrent_modules = 8;
-  const AssayCase assay = random_assay(
-      params, library, bench::kBenchSeed + static_cast<std::uint64_t>(mixes));
-
-  PipelineOptions pipeline_options;
-  pipeline_options.place = false;
-  pipeline_options.seed = bench::kBenchSeed;
-  Schedule schedule = SynthesisPipeline(pipeline_options).run(assay).schedule;
-  *canvas_out = std::max(
-      16, static_cast<int>(std::ceil(std::sqrt(
-              2.0 * static_cast<double>(schedule.peak_concurrent_cells())))));
-  return schedule;
-}
-
-/// One portfolio row of the race: anneals N exchange-coupled replicas
-/// toward the serial baseline's best cost and emits its JSON line.
-/// Returns whether the row beat the serial baseline's time-to-target
-/// (used as the CI gate at N >= 4).
-bool race_portfolio(int modules, const Placement& initial,
-                    const SaPlacerOptions& options,
-                    const PortfolioOptions& portfolio, double target,
-                    double baseline_seconds) {
-  PortfolioOptions race = portfolio;
-  race.target_cost = target;
-  const PlacementOutcome outcome =
-      anneal_portfolio(initial, options, race);
-  const bool reached = outcome.stats.best_cost <= target;
-  const double seconds = outcome.stats.seconds_to_best;
-  const double speedup =
-      reached && seconds > 0.0 ? baseline_seconds / seconds : 0.0;
-  bench::emit_portfolio_json_line(
-      modules, "portfolio", to_string(options.engine), race.replicas, target,
-      outcome.stats.best_cost, reached, seconds, outcome.stats.wall_seconds,
-      speedup, outcome.stats, options.seed);
-  std::cout << "portfolio N=" << race.replicas << ": "
-            << (reached ? "reached" : "MISSED") << " target " << target
-            << " (best " << outcome.stats.best_cost << ") in " << seconds
-            << " s critical-path — " << speedup << "x vs serial, "
-            << outcome.stats.exchanges_accepted << "/"
-            << outcome.stats.exchanges_attempted << " exchanges\n";
-  return reached && seconds <= baseline_seconds;
-}
-
-/// The race: serial kFused (and kBatched, report-only) set the target —
-/// the serial best cost and the wall-clock at which it was reached —
-/// then the portfolio chases it at N in {1, 2, 4, 8}. N = 1 and 2 are
-/// recorded for the scaling table; N >= 4 must win (the CI gate, per
-/// the critical-path accounting that charges each barrier interval the
-/// slowest replica's segment).
-///
-/// Every row anneals from the same seeded SCATTERED initial (modules at
-/// uniform random anchors), not from the greedy constructive one: on
-/// the dense random-assay instances the slice-aware greedy packing is
-/// already at the annealer's attainable floor (measured: 10M paper-
-/// schedule proposals never improve it), so a greedy-start race ends at
-/// t = 0 for every backend. The scattered start is the adversarial cold
-/// case — it measures the engines' convergence dynamics themselves,
-/// which is what the portfolio accelerates.
-bool run_portfolio_race(bool smoke) {
-  bench::banner(smoke ? "perf_sa: portfolio time-to-target race (smoke)"
-                      : "perf_sa: portfolio time-to-target race");
-  int canvas = 0;
-  const Schedule schedule = race_schedule(smoke, &canvas);
-  const int modules = static_cast<int>(schedule.modules().size());
-  std::cout << modules << " modules on a " << canvas << "x" << canvas
-            << " canvas\n";
-
-  SaPlacerOptions options;
-  options.canvas_width = canvas;
-  options.canvas_height = canvas;
-  options.engine = AnnealingEngine::kFused;
-  // ~100 temperature steps full (~30 smoke): enough cooling for the
-  // chains to feasibilize and settle from the scattered start.
-  options.schedule.initial_temperature = smoke ? 50.0 : 100.0;
-  options.schedule.cooling_rate = smoke ? 0.9 : 0.95;
-  options.schedule.iterations_per_module = smoke ? 4 : 8;
-  options.schedule.min_temperature = smoke ? 2.0 : 0.5;
-  options.seed = bench::kBenchSeed + static_cast<std::uint64_t>(modules);
-
-  Placement initial(schedule, canvas, canvas);
-  Rng scatter(bench::kBenchSeed ^ static_cast<std::uint64_t>(modules));
-  for (int i = 0; i < initial.module_count(); ++i) {
-    const Rect footprint = initial.module(i).footprint();
-    initial.set_position(
-        i,
-        Point{static_cast<int>(scatter.next_below(
-                  static_cast<std::uint32_t>(canvas - footprint.width + 1))),
-              static_cast<int>(scatter.next_below(static_cast<std::uint32_t>(
-                  canvas - footprint.height + 1)))},
-        /*rotated=*/false);
-  }
-
-  // Serial baselines. The kFused row is the target-setter: its best cost
-  // is the cost every portfolio row must reach, its seconds_to_best the
-  // time to beat.
-  const PlacementOutcome serial =
-      run_engine(AnnealingEngine::kFused, initial, options);
-  const double target = serial.stats.best_cost;
-  const double baseline_seconds = serial.stats.seconds_to_best;
-  bench::emit_portfolio_json_line(modules, "sa", "fused", 1, target, target,
-                                  true, baseline_seconds,
-                                  serial.stats.wall_seconds, 1.0,
-                                  serial.stats, options.seed);
-  std::cout << "serial fused: best " << target << " at " << baseline_seconds
-            << " s (of " << serial.stats.wall_seconds << " s total)\n";
-
-  const PlacementOutcome batched =
-      run_engine(AnnealingEngine::kBatched, initial, options);
-  const bool batched_reached = batched.stats.best_cost <= target;
-  bench::emit_portfolio_json_line(
-      modules, "sa", "batched", 1, target, batched.stats.best_cost,
-      batched_reached, batched.stats.seconds_to_best,
-      batched.stats.wall_seconds,
-      batched_reached && batched.stats.seconds_to_best > 0.0
-          ? baseline_seconds / batched.stats.seconds_to_best
-          : 0.0,
-      batched.stats, options.seed);
-  std::cout << "serial batched: best " << batched.stats.best_cost
-            << ", speculation hit-rate "
-            << (batched.stats.speculated > 0
-                    ? static_cast<double>(batched.stats.speculation_hits) /
-                          static_cast<double>(batched.stats.speculated)
-                    : 0.0)
-            << "\n";
-
-  PortfolioOptions portfolio;
-  portfolio.exchange_period = 4;
-  // Rungs BELOW the base temperature: the extra replicas quench early
-  // (reaching near-final costs in the opening barriers) while replica 0
-  // anneals the full base schedule, and the exchange pass hands stuck
-  // quenches back up the ladder. Measured much stronger on
-  // time-to-target than a hotter ladder (0.7 won the {0.6,0.7,0.8} x
-  // {K=2,K=4} tuning grid on this instance).
-  portfolio.ladder_ratio = 0.7;
-  bool ok = true;
-  for (const int replicas : {1, 2, 4, 8}) {
-    portfolio.replicas = replicas;
-    const bool won = race_portfolio(modules, initial, options, portfolio,
-                                    target, baseline_seconds);
-    if (replicas >= 4 && !won) {
-      std::cerr << "SHAPE CHECK FAILED: portfolio N=" << replicas
-                << " did not reach the serial target faster than the serial"
-                   " kFused baseline\n";
-      ok = false;
-    }
-  }
-  return ok;
-}
-
 // --- Google-Benchmark microbenches ------------------------------------
 
 void BM_CostEvaluationAreaOnly(benchmark::State& state) {
@@ -493,32 +301,30 @@ BENCHMARK(BM_MoveGeneration);
 
 void BM_AreaOnlyPlacementEndToEnd(benchmark::State& state) {
   // Shortened schedule so a single iteration stays ~tens of ms; arg 1
-  // selects the engine (0 = delta, 1 = copy, 2 = fused) so the speedup
-  // shows up in the benchmark table too.
+  // selects the engine (0 = delta, 1 = the copying oracle) so the
+  // speedup shows up in the benchmark table too.
   PlacerContext context = bench::paper_context();
   context.annealing.initial_temperature = 1000.0;
   context.annealing.cooling_rate = 0.8;
   context.annealing.iterations_per_module = static_cast<int>(state.range(0));
-  context.engine = state.range(1) == 0   ? AnnealingEngine::kDelta
-                   : state.range(1) == 1 ? AnnealingEngine::kCopy
-                                         : AnnealingEngine::kFused;
+  const bool copy = state.range(1) == 1;
   const auto placer = make_placer("sa");
   std::uint64_t seed = 1;
   for (auto _ : state) {
     context.seed = seed++;
-    const auto outcome = placer->place(pcr_schedule(), context);
+    const auto outcome =
+        copy ? oracle::place_copy(pcr_schedule(), sa_options_from(context))
+             : placer->place(pcr_schedule(), context);
     benchmark::DoNotOptimize(outcome.cost.area_cells);
   }
   state.counters["Na"] = static_cast<double>(state.range(0));
-  state.SetLabel(to_string(context.engine));
+  state.SetLabel(copy ? "copy" : "delta");
 }
 BENCHMARK(BM_AreaOnlyPlacementEndToEnd)
     ->Args({25, 0})
     ->Args({25, 1})
-    ->Args({25, 2})
     ->Args({100, 0})
     ->Args({100, 1})
-    ->Args({100, 2})
     ->Unit(benchmark::kMillisecond);
 
 void BM_PaperParameterPlacement(benchmark::State& state) {
@@ -566,7 +372,6 @@ int main(int argc, char** argv) {
                             : "perf_sa: engine comparison");
   bool ok = run_comparison(smoke);
   ok = run_scaling_sweep(smoke) && ok;
-  ok = run_portfolio_race(smoke) && ok;
   if (!ok) return 1;
   if (!smoke) benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

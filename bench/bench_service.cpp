@@ -236,50 +236,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Portfolio warm-start seam: a structure-matched warm start seeds
-  // replica 0 of the portfolio only (replicas 1..N-1 keep their fresh
-  // split-seeded chains), so the cached placement's cost bounds the warm
-  // incumbent from above and a warm-started portfolio compile must land
-  // at equal-or-better cost than the same request compiled cold.
-  {
-    CompileRequest request;
-    request.assay = bases.front();
-    request.id = request.assay.name + "-portfolio";
-    request.options = bench_options(smoke);
-    request.options.placer = "portfolio";
-    // Fixed replica count: the result is a function of (seed, N, K), so
-    // the shape check is reproducible on any machine.
-    request.options.placer_context.portfolio.replicas = 2;
-
-    CompileService portfolio_service;
-    const CompileResponse base_compile = portfolio_service.compile(request);
-    CompileRequest near_miss = request;
-    near_miss.assay = perturbed(bases.front(), 0);
-    near_miss.assay.name += "-portfolio";
-    near_miss.id = near_miss.assay.name;
-    const CompileResponse warmed = portfolio_service.compile(near_miss);
-    CompileRequest cold_request = near_miss;
-    cold_request.use_cache = false;
-    const CompileResponse reference = cold_service.compile(cold_request);
-    if (expect_source(base_compile, CompileSource::kMiss) &&
-        expect_source(warmed, CompileSource::kWarmStart) &&
-        expect_source(reference, CompileSource::kMiss)) {
-      const double warm_cost = warmed.result->placement.cost.value;
-      const double cold_cost = reference.result->placement.cost.value;
-      std::cout << "portfolio warm-start: warm cost " << warm_cost
-                << " vs cold cost " << cold_cost << '\n';
-      std::cout << "{\"bench\":\"service\",\"class\":\"portfolio-warm\","
-                << "\"warm_cost\":" << warm_cost << ",\"cold_cost\":"
-                << cold_cost << ",\"seed\":" << bench::kBenchSeed << "}\n";
-      if (warm_cost > cold_cost + 1e-9) {
-        std::cout << near_miss.id << ": warm-started portfolio cost "
-                  << warm_cost << " WORSE than cold portfolio cost "
-                  << cold_cost << '\n';
-        shape_ok = false;
-      }
-    }
-  }
-
   TextTable table("Service latency by traffic class (ms)");
   table.set_header({"class", "requests", "p50", "p99", "mean"});
   const auto add_class = [&table](const std::string& name,

@@ -10,7 +10,6 @@
 #include "biochip/chip.h"
 #include "sim/router_backend.h"
 #include "sim/sim_engine.h"
-#include "util/cost_statistic.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
@@ -190,25 +189,6 @@ PipelineResult SynthesisPipeline::run_bound(const SequencingGraph& graph,
              << r.placement.cost.area_cells << " cells";
       if (options_.evaluate_fault_tolerance) {
         detail << ", FTI " << r.fti.fti();
-      }
-      // Portfolio backends report per-replica loop telemetry: throughput
-      // spread across replicas, exchange traffic and the speculation
-      // hit-rate (kBatched replicas only).
-      if (!r.placement.replica_stats.empty()) {
-        CostStatistic throughput;
-        for (const AnnealingStats& rs : r.placement.replica_stats) {
-          throughput.record(rs.proposals_per_second);
-        }
-        const AnnealingStats& agg = r.placement.stats;
-        detail << "; replicas=" << r.placement.replica_stats.size()
-               << " exchanges=" << agg.exchanges_accepted << "/"
-               << agg.exchanges_attempted
-               << " proposals/s min/avg/max=" << throughput.minimum() << "/"
-               << throughput.average() << "/" << throughput.max;
-        if (agg.speculated > 0) {
-          detail << " spec-hit=" << static_cast<double>(agg.speculation_hits) /
-                                        static_cast<double>(agg.speculated);
-        }
       }
       record(PipelineStage::kPlace, seconds_since(start), detail.str());
     }

@@ -1,18 +1,19 @@
 // annealer.h — the simulated-annealing engine (Fig. 3 of the paper).
 //
-// Generic over the state type so the placement problem and tests can share
-// it. Implements exactly the paper's loop: geometric cooling
+// Implements exactly the paper's loop: geometric cooling
 // T_new = alpha * T_old, an inner loop of N = Na * Nm iterations per
 // temperature, Metropolis acceptance (accept when dC < 0 or
 // r < exp(-dC / T)), and a stopping criterion tied to the controlling
 // window reaching its minimum span (expressed as a minimum temperature).
+// The state lives behind the problem's callbacks and is mutated in place
+// (sa_placer.cpp drives an IncrementalPlacementState through it); the
+// copying reference loop it is pinned against lives in tests/oracles/.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <functional>
 #include <limits>
-#include <vector>
 
 #include "util/rng.h"
 
@@ -36,9 +37,8 @@ struct AnnealingStats {
   long long accepted = 0;
   long long uphill_accepted = 0;
   /// Proposal and acceptance tallies per generation move kind, so bench
-  /// JSON can attribute where proposal time goes. The placer engines
-  /// fill them where the kind is visible: the delta and fused engines
-  /// record both; the copying engine records proposals only (its
+  /// JSON can attribute where proposal time goes. The placer fills both;
+  /// the copying oracle (tests/oracles/) records proposals only (its
   /// accept decision happens behind the type-erased state).
   long long proposals_by_kind[kMoveKindSlots] = {0, 0, 0, 0};
   long long accepted_by_kind[kMoveKindSlots] = {0, 0, 0, 0};
@@ -47,23 +47,13 @@ struct AnnealingStats {
   double best_cost = std::numeric_limits<double>::infinity();
   /// Wall time of the annealing loop itself (excludes the caller's
   /// initial-placement construction) and the throughput it implies —
-  /// bench_perf_sa records these per engine (copy vs delta).
+  /// bench_perf_sa records these for the engine and its copying oracle.
   double wall_seconds = 0.0;
   double proposals_per_second = 0.0;
   /// Wall time (from the loop's start) at which `best_cost` was last
-  /// improved — the "time to target cost" the portfolio benches race.
-  /// 0 when the initial state was never improved on.
+  /// improved ("time to target cost"). 0 when the initial state was
+  /// never improved on.
   double seconds_to_best = 0.0;
-  /// kBatched telemetry: moves priced speculatively ahead of their
-  /// Metropolis decision, and how many of those prices were still valid
-  /// (served without re-pricing) when the decision consumed them. The
-  /// other engines leave both 0.
-  long long speculated = 0;
-  long long speculation_hits = 0;
-  /// Replica-exchange telemetry, filled by the "portfolio" placer on its
-  /// aggregate and per-replica stats; single-run engines leave both 0.
-  long long exchanges_attempted = 0;
-  long long exchanges_accepted = 0;
 };
 
 namespace detail {
@@ -85,121 +75,25 @@ inline void finish_stats(AnnealingStats& stats,
 
 }  // namespace detail
 
-/// Problem plumbing: cost of a state, neighbour generation (given the
-/// current temperature as a fraction of T0, for the controlling window),
-/// and which states may be recorded as "the answer" (e.g. only feasible
-/// placements).
-template <typename State>
-struct AnnealingProblem {
-  std::function<double(const State&)> cost;
-  std::function<State(const State&, double /*temperature_fraction*/, Rng&)>
-      neighbor;
-  std::function<bool(const State&)> recordable;  ///< nullable -> always true
-};
-
-/// Runs the annealing loop and returns the best recordable state seen
-/// (falling back to the initial state if no recordable state is ever
-/// visited — callers that start from a feasible state always get one).
-template <typename State>
-State anneal(State initial, const AnnealingProblem<State>& problem,
-             const AnnealingSchedule& schedule, int module_count, Rng& rng,
-             AnnealingStats* stats_out = nullptr) {
-  const auto start_time = std::chrono::steady_clock::now();
-  AnnealingStats stats;
-  const auto recordable = [&](const State& s) {
-    return !problem.recordable || problem.recordable(s);
-  };
-
-  State current = std::move(initial);
-  double current_cost = problem.cost(current);
-
-  State best = current;
-  bool have_best = recordable(current);
-  double best_cost = have_best ? current_cost
-                               : std::numeric_limits<double>::infinity();
-
-  const int inner_iterations =
-      schedule.iterations_per_module * std::max(1, module_count);
-
-  double temperature = schedule.initial_temperature;
-  while (temperature > schedule.min_temperature) {
-    const double fraction =
-        schedule.initial_temperature > 0.0
-            ? temperature / schedule.initial_temperature
-            : 0.0;
-    for (int i = 0; i < inner_iterations; ++i) {
-      State candidate = problem.neighbor(current, fraction, rng);
-      const double candidate_cost = problem.cost(candidate);
-      const double delta = candidate_cost - current_cost;
-      ++stats.proposals;
-      bool accept = delta < 0.0;
-      if (!accept && temperature > 0.0) {
-        accept = rng.next_double() < std::exp(-delta / temperature);
-        if (accept) ++stats.uphill_accepted;
-      }
-      if (accept) {
-        current = std::move(candidate);
-        current_cost = candidate_cost;
-        ++stats.accepted;
-        if (current_cost < best_cost && recordable(current)) {
-          best = current;
-          best_cost = current_cost;
-          have_best = true;
-          stats.seconds_to_best = detail::seconds_since(start_time);
-        }
-      }
-    }
-    temperature *= schedule.cooling_rate;
-    ++stats.temperature_steps;
-  }
-
-  stats.final_temperature = temperature;
-  stats.best_cost = best_cost;
-  detail::finish_stats(stats, start_time);
-  if (stats_out) *stats_out = stats;
-  return have_best ? best : current;
-}
-
-/// In-place problem form for delta-cost annealing: the state lives behind
-/// the callbacks (e.g. an IncrementalPlacementState) and is mutated by
-/// `propose_delta`, then either kept (`commit`) or rolled back (`revert`).
-/// No per-proposal state copy ever happens; `record_best` is invoked when
-/// the committed state becomes the best recordable one seen, which is the
-/// only time a caller needs to snapshot (costs one copy per improvement,
-/// not one per proposal).
+/// The annealing loop over an in-place state, mutated by
+/// `propose_delta` and then either kept (`commit`) or rolled back
+/// (`revert`); no per-proposal state copy ever happens. Given a bit-exact
+/// delta evaluator (IncrementalPlacementState) and the same seed, the
+/// accept/reject trajectory, stats and best state are identical to the
+/// copying reference loop's (tests/oracles/copy_annealer.h). Returns the
+/// best recordable cost seen (+infinity if none was; the caller then
+/// falls back to the final current state, as the copying loop does).
 ///
-/// All five members must be set — `recordable` returns true and
-/// `record_best` is a no-op when unused. (anneal_delta is templated over
-/// the problem type precisely so hot callers can pass a struct of
-/// concrete lambdas instead and skip std::function dispatch; this struct
-/// is the type-erased convenience form.)
-struct DeltaAnnealingProblem {
-  /// Applies one random move in place and returns the cost delta.
-  std::function<double(double /*temperature_fraction*/, Rng&)> propose_delta;
-  /// Keeps the proposed move; returns the new absolute cost (recomputed by
-  /// the state from its tallies, so no floating-point drift accumulates
-  /// across a long run).
-  std::function<double()> commit;
-  /// Rolls the proposed move back.
-  std::function<void()> revert;
-  /// May the *committed* state be recorded as the answer?
-  std::function<bool()> recordable;
-  /// The committed state is the new best; snapshot it.
-  std::function<void(double /*cost*/)> record_best;
-};
-
-/// The annealing loop over an in-place state. Drives the exact same
-/// schedule, acceptance rule and bookkeeping as `anneal` — given a
-/// bit-exact delta evaluator (IncrementalPlacementState) and the same
-/// seed, the accept/reject trajectory, stats and best state are identical
-/// to the copying engine's. Returns the best recordable cost seen
-/// (+infinity if none was; the caller then falls back to the final
-/// current state, mirroring `anneal`).
-///
-/// `Problem` is any type with DeltaAnnealingProblem's five members —
-/// pass a struct of concrete lambdas (as sa_placer.cpp does) to let the
-/// callbacks inline into the loop; the std::function-based
-/// DeltaAnnealingProblem works too when type erasure is worth its cost.
+/// `Problem` is any type with these five members — sa_placer.cpp passes
+/// a struct of concrete lambdas so the callbacks inline into the loop:
+///   double propose_delta(double temperature_fraction, Rng&)
+///       applies one random move in place and returns the cost delta;
+///   double commit()  keeps it and returns the new absolute cost
+///       (recomputed from tallies, so no drift accumulates);
+///   void revert()    rolls it back;
+///   bool recordable() may the committed state be recorded as the answer?
+///   void record_best(double cost)  the committed state is the new best:
+///       snapshot it (one copy per improvement, not one per proposal).
 template <typename Problem>
 double anneal_delta(double initial_cost, const Problem& problem,
                     const AnnealingSchedule& schedule, int module_count,
@@ -213,8 +107,9 @@ double anneal_delta(double initial_cost, const Problem& problem,
                                : std::numeric_limits<double>::infinity();
   if (have_best) problem.record_best(best_cost);
 
-  const int inner_iterations =
-      schedule.iterations_per_module * std::max(1, module_count);
+  const long long inner_iterations =
+      static_cast<long long>(schedule.iterations_per_module) *
+      std::max(1, module_count);
 
   double temperature = schedule.initial_temperature;
   while (temperature > schedule.min_temperature) {
@@ -222,16 +117,16 @@ double anneal_delta(double initial_cost, const Problem& problem,
         schedule.initial_temperature > 0.0
             ? temperature / schedule.initial_temperature
             : 0.0;
-    for (int i = 0; i < inner_iterations; ++i) {
+    for (long long i = 0; i < inner_iterations; ++i) {
       const double delta = problem.propose_delta(fraction, rng);
       ++stats.proposals;
       bool accept = delta < 0.0;
       if (!accept && temperature > 0.0) {
         // The Metropolis draw always happens (stream compatibility with
-        // `anneal`), but exp() is skipped where its value is known: a
+        // the copying loop), but exp() is skipped where its value is known: a
         // zero delta always accepts (r < exp(0) = 1 for r in [0, 1)),
         // and below -746 exp() is exactly 0.0 (the subnormal floor is at
-        // ~-745.13; cutting higher would drop the copy engine's accept
+        // ~-745.13; cutting higher would drop the copying loop's accept
         // on an exactly-zero draw against a subnormal exp value).
         const double r = rng.next_double();
         if (delta == 0.0) {
@@ -253,179 +148,6 @@ double anneal_delta(double initial_cost, const Problem& problem,
         }
       } else {
         problem.revert();
-      }
-    }
-    temperature *= schedule.cooling_rate;
-    ++stats.temperature_steps;
-  }
-
-  stats.final_temperature = temperature;
-  stats.best_cost = best_cost;
-  detail::finish_stats(stats, start_time);
-  if (stats_out) *stats_out = stats;
-  return have_best ? best_cost : std::numeric_limits<double>::infinity();
-}
-
-/// The fused-loop annealing variant (AnnealingEngine::kFused): the same
-/// geometric schedule and Metropolis rule as `anneal_delta`, but the
-/// acceptance draws come pre-batched per temperature step from a
-/// dedicated stream split off `rng` at entry, and every proposal
-/// consumes one — including downhill proposals, which the legacy loop
-/// never draws for. Batching keeps the generator's serial dependency
-/// out of the proposal's critical path and removes the data-dependent
-/// draw branch; together with move generation fused into the proposal
-/// (IncrementalPlacementState::propose_random) this lifts the shared
-/// per-proposal floor the beta = 0 ratio was bounded by.
-///
-/// The trajectory is deterministic per seed but intentionally NOT the
-/// legacy kDelta/kCopy stream — tests pin the variant's determinism and
-/// quality, not stream equality. `Problem` has the same five members as
-/// DeltaAnnealingProblem.
-template <typename Problem>
-double anneal_fused(double initial_cost, const Problem& problem,
-                    const AnnealingSchedule& schedule, int module_count,
-                    Rng& rng, AnnealingStats* stats_out = nullptr) {
-  const auto start_time = std::chrono::steady_clock::now();
-  AnnealingStats stats;
-
-  double current_cost = initial_cost;
-  bool have_best = problem.recordable();
-  double best_cost = have_best ? current_cost
-                               : std::numeric_limits<double>::infinity();
-  if (have_best) problem.record_best(best_cost);
-
-  const int inner_iterations =
-      schedule.iterations_per_module * std::max(1, module_count);
-
-  Rng metropolis_rng = rng.split();
-  std::vector<double> draws(static_cast<std::size_t>(inner_iterations));
-
-  double temperature = schedule.initial_temperature;
-  while (temperature > schedule.min_temperature) {
-    const double fraction =
-        schedule.initial_temperature > 0.0
-            ? temperature / schedule.initial_temperature
-            : 0.0;
-    for (double& draw : draws) draw = metropolis_rng.next_double();
-    for (int i = 0; i < inner_iterations; ++i) {
-      const double delta = problem.propose_delta(fraction, rng);
-      ++stats.proposals;
-      bool accept = delta < 0.0;
-      if (!accept && temperature > 0.0) {
-        const double r = draws[static_cast<std::size_t>(i)];
-        if (delta == 0.0) {
-          accept = true;  // r < exp(0) = 1 for r in [0, 1)
-        } else {
-          const double exponent = -delta / temperature;
-          accept = exponent > -746.0 && r < std::exp(exponent);
-        }
-        if (accept) ++stats.uphill_accepted;
-      }
-      if (accept) {
-        current_cost = problem.commit();
-        ++stats.accepted;
-        if (current_cost < best_cost && problem.recordable()) {
-          best_cost = current_cost;
-          have_best = true;
-          problem.record_best(best_cost);
-          stats.seconds_to_best = detail::seconds_since(start_time);
-        }
-      } else {
-        problem.revert();
-      }
-    }
-    temperature *= schedule.cooling_rate;
-    ++stats.temperature_steps;
-  }
-
-  stats.final_temperature = temperature;
-  stats.best_cost = best_cost;
-  detail::finish_stats(stats, start_time);
-  if (stats_out) *stats_out = stats;
-  return have_best ? best_cost : std::numeric_limits<double>::infinity();
-}
-
-/// The speculative batched-proposal variant (AnnealingEngine::kBatched):
-/// anneal_fused's schedule, acceptance rule and pre-batched Metropolis
-/// draws, but move generation and pricing happen lookahead moves ahead
-/// of the serial accept/reject decisions. `problem.speculate(fraction,
-/// rng, capacity)` draws up to `capacity` moves from the stream in one
-/// go (pricing each against the then-current state and remembering what
-/// the price depended on); each decision then consumes one entry via
-/// `problem.activate(b)`, which returns the speculative delta when no
-/// intervening acceptance invalidated it and re-prices otherwise.
-///
-/// The move stream is consumed in the same per-move draw order as
-/// kFused, so with lookahead 1 the trajectory is bit-identical to
-/// anneal_fused's (pinned by test_sa_placer.cpp). Larger lookaheads
-/// version the stream: a batch's moves are all generated against the
-/// state at batch-fill time, so an acceptance inside a batch diverges
-/// the trajectory from kFused's — deterministically per seed.
-///
-/// `Problem` carries speculate/activate plus DeltaAnnealingProblem's
-/// commit/revert/recordable/record_best.
-template <typename Problem>
-double anneal_batched(double initial_cost, const Problem& problem,
-                      const AnnealingSchedule& schedule, int module_count,
-                      int lookahead, Rng& rng,
-                      AnnealingStats* stats_out = nullptr) {
-  const auto start_time = std::chrono::steady_clock::now();
-  AnnealingStats stats;
-
-  double current_cost = initial_cost;
-  bool have_best = problem.recordable();
-  double best_cost = have_best ? current_cost
-                               : std::numeric_limits<double>::infinity();
-  if (have_best) problem.record_best(best_cost);
-
-  const int inner_iterations =
-      schedule.iterations_per_module * std::max(1, module_count);
-  const int batch_capacity = std::max(1, lookahead);
-
-  Rng metropolis_rng = rng.split();
-  std::vector<double> draws(static_cast<std::size_t>(inner_iterations));
-
-  double temperature = schedule.initial_temperature;
-  while (temperature > schedule.min_temperature) {
-    const double fraction =
-        schedule.initial_temperature > 0.0
-            ? temperature / schedule.initial_temperature
-            : 0.0;
-    for (double& draw : draws) draw = metropolis_rng.next_double();
-    int i = 0;
-    while (i < inner_iterations) {
-      // Batches never straddle a temperature step: the controlling
-      // window (and the acceptance temperature) is constant within one.
-      const int filled =
-          problem.speculate(fraction, rng,
-                            std::min(batch_capacity, inner_iterations - i));
-      if (filled <= 0) break;  // defensive; speculate fills what it's asked
-      for (int b = 0; b < filled; ++b, ++i) {
-        const double delta = problem.activate(b);
-        ++stats.proposals;
-        bool accept = delta < 0.0;
-        if (!accept && temperature > 0.0) {
-          const double r = draws[static_cast<std::size_t>(i)];
-          if (delta == 0.0) {
-            accept = true;  // r < exp(0) = 1 for r in [0, 1)
-          } else {
-            const double exponent = -delta / temperature;
-            accept = exponent > -746.0 && r < std::exp(exponent);
-          }
-          if (accept) ++stats.uphill_accepted;
-        }
-        if (accept) {
-          current_cost = problem.commit();
-          ++stats.accepted;
-          if (current_cost < best_cost && problem.recordable()) {
-            best_cost = current_cost;
-            have_best = true;
-            problem.record_best(best_cost);
-            stats.seconds_to_best = detail::seconds_since(start_time);
-          }
-        } else {
-          problem.revert();
-        }
       }
     }
     temperature *= schedule.cooling_rate;

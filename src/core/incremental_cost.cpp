@@ -235,6 +235,8 @@ void IncrementalPlacementState::insert_extents(const Rect& footprint) {
 }
 
 double IncrementalPlacementState::propose(const PlacementMove& move) {
+  assert(!pending_.active);
+
   // Clamped displacements frequently land exactly where the module
   // already is (window span 1 at low temperature); such a move changes
   // nothing, so the delta is 0 without touching a single cache — the FTI
@@ -246,83 +248,10 @@ double IncrementalPlacementState::propose(const PlacementMove& move) {
     noop = m.anchor == move.changes[c].anchor &&
            m.rotated == move.changes[c].rotated;
   }
-  return propose_known(move, noop);
-}
-
-double IncrementalPlacementState::propose_random(int window_span,
-                                                 const MoveOptions& options,
-                                                 Rng& rng) {
-  // Exactly generate_random_move_with_span's draw order, fused with the
-  // no-op determination (anchors and orientations are at hand anyway).
-  PlacementMove move;
-  bool noop = true;
-  const int count = placement_.module_count();
-  if (count > 0) {
-    const bool single =
-        count < 2 || rng.next_bool(options.single_move_probability);
-    const bool rotate = rng.next_bool(options.rotate_probability);
-    if (single) {
-      const int index = static_cast<int>(
-          rng.next_below(static_cast<std::uint64_t>(count)));
-      const PlacedModule& m =
-          placement_.modules()[static_cast<std::size_t>(index)];
-      bool rotated = m.rotated;
-      const bool flipped =
-          rotate && detail::flipped_orientation(placement_, index, rotated);
-      const Point target{m.anchor.x + rng.next_int(-window_span, window_span),
-                         m.anchor.y + rng.next_int(-window_span, window_span)};
-      move.kind = flipped ? MoveKind::kDisplaceRotate : MoveKind::kDisplace;
-      move.count = 1;
-      move.changes[0] = ModuleMove{
-          index, detail::clamp_anchor(placement_, index, rotated, target),
-          rotated};
-      noop = move.changes[0].anchor == m.anchor && rotated == m.rotated;
-    } else {
-      const int i = static_cast<int>(
-          rng.next_below(static_cast<std::uint64_t>(count)));
-      int j = static_cast<int>(
-          rng.next_below(static_cast<std::uint64_t>(count - 1)));
-      if (j >= i) ++j;
-      const PlacedModule& mi =
-          placement_.modules()[static_cast<std::size_t>(i)];
-      const PlacedModule& mj =
-          placement_.modules()[static_cast<std::size_t>(j)];
-      bool rotated_i = mi.rotated;
-      bool rotated_j = mj.rotated;
-      bool flipped = false;
-      if (rotate) {
-        // Move (iv): at least one module of the pair changes orientation.
-        if (rng.next_bool(0.5)) {
-          flipped = detail::flipped_orientation(placement_, i, rotated_i);
-        } else {
-          flipped = detail::flipped_orientation(placement_, j, rotated_j);
-        }
-      }
-      move.kind = flipped ? MoveKind::kSwapRotate : MoveKind::kSwap;
-      move.count = 2;
-      move.changes[0] = ModuleMove{
-          i, detail::clamp_anchor(placement_, i, rotated_i, mj.anchor),
-          rotated_i};
-      move.changes[1] = ModuleMove{
-          j, detail::clamp_anchor(placement_, j, rotated_j, mi.anchor),
-          rotated_j};
-      noop = move.changes[0].anchor == mi.anchor &&
-             rotated_i == mi.rotated &&
-             move.changes[1].anchor == mj.anchor && rotated_j == mj.rotated;
-    }
-  }
-  return propose_known(move, noop);
-}
-
-double IncrementalPlacementState::propose_known(const PlacementMove& move,
-                                                bool noop) {
-  assert(!pending_.active);
-
   if (noop) {
     Pending& pending = pending_;
     pending.active = true;
     pending.eager = false;
-    pending.move.kind = move.kind;  // telemetry: last_move_kind()
     pending.move.count = 0;
     pending.new_pair_overlaps.clear();
     pending.new_link_costs.clear();
@@ -332,7 +261,6 @@ double IncrementalPlacementState::propose_known(const PlacementMove& move,
     pending.cand_outside_count = outside_count_;
     pending.cand_bbox = bbox_;
     pending.cand_value = value_;
-    pending.scanned_bbox = false;
     return 0.0;
   }
 
@@ -470,7 +398,6 @@ double IncrementalPlacementState::propose_known(const PlacementMove& move,
   pending.cand_pressure_total = cand_pressure;
   pending.cand_outside_count = cand_outside;
   pending.cand_bbox = cand_bbox;
-  pending.scanned_bbox = !bbox_survives && count > 0;
   pending.cand_value =
       value_of(cand_bbox.area(), cand_overlap, cand_defect, 0.0,
                cand_pressure);
@@ -591,31 +518,8 @@ double IncrementalPlacementState::propose_eager(const PlacementMove& move) {
 double IncrementalPlacementState::commit() {
   Pending& pending = pending_;
   assert(pending.active);
-  if (pending_virtual_) {
-    // A still-valid speculative serve: nothing is staged yet, so
-    // materialize by re-running the full pricing (advances no rng draws;
-    // the delta is the served one by speculation_valid's contract), then
-    // commit normally. Acceptances are the rare branch, so the extra
-    // pricing stays off the hot path.
-    pending_virtual_ = false;
-    pending.active = false;
-    const PlacementMove move = pending.move;
-    propose(move);
-  }
   pending.active = false;
   if (pending.eager) return value_;
-
-  // Speculation epochs (engaged by the first speculate_batch call):
-  // high-water-mark what this acceptance touches, so later activate()
-  // calls can tell stale prices from live ones.
-  if (!module_epoch_.empty() && pending.move.count > 0) {
-    ++commit_epoch_;
-    for (int c = 0; c < pending.move.count; ++c) {
-      module_epoch_[static_cast<std::size_t>(pending.move.changes[c].index)] =
-          commit_epoch_;
-    }
-    if (!(pending.cand_bbox == bbox_)) bbox_epoch_ = commit_epoch_;
-  }
 
   // Lazy path: apply the staged move and candidate tallies (footprints_
   // was already updated by propose()).
@@ -645,11 +549,6 @@ void IncrementalPlacementState::revert() {
   Pending& pending = pending_;
   assert(pending.active);
   pending.active = false;
-  if (pending_virtual_) {
-    // Speculative serve: nothing was mutated or staged.
-    pending_virtual_ = false;
-    return;
-  }
   if (!pending.eager) {
     // Lazy proposals staged everything except the footprint cache.
     // Reverse order, like the eager undo: were a move ever to touch one
@@ -687,99 +586,6 @@ void IncrementalPlacementState::revert() {
     covered_cells_ = pending.old_covered;
   }
   value_ = pending.old_value;
-}
-
-int IncrementalPlacementState::speculate_batch(int window_span,
-                                               const MoveOptions& options,
-                                               Rng& rng, int count) {
-  assert(!pending_.active);
-  if (module_epoch_.empty() && placement_.module_count() > 0) {
-    module_epoch_.assign(static_cast<std::size_t>(placement_.module_count()),
-                         0);
-  }
-  batch_.clear();
-  batch_deps_.clear();
-  batch_epoch_ = commit_epoch_;
-  // Eager (beta != 0) pricing mutates the state, so looking ahead would
-  // change what later entries are priced against; the batch then only
-  // pre-draws the moves and activate() prices each fresh.
-  const bool lazy = weights_.beta == 0.0;
-  for (int n = 0; n < count; ++n) {
-    BatchEntry entry;
-    entry.move =
-        generate_random_move_with_span(placement_, window_span, options, rng);
-    bool noop = true;
-    for (int c = 0; c < entry.move.count && noop; ++c) {
-      const PlacedModule& m = placement_.modules()[static_cast<std::size_t>(
-          entry.move.changes[c].index)];
-      noop = m.anchor == entry.move.changes[c].anchor &&
-             m.rotated == entry.move.changes[c].rotated;
-    }
-    entry.noop = noop;
-    if (lazy) {
-      entry.delta = propose_known(entry.move, noop);
-      entry.priced = true;
-      entry.scanned_bbox = pending_.scanned_bbox;
-      entry.dep_begin = static_cast<int>(batch_deps_.size());
-      for (int c = 0; c < entry.move.count; ++c) {
-        const int idx = entry.move.changes[c].index;
-        batch_deps_.push_back(idx);
-        // A noop's price (0) stays valid as long as the move still lands
-        // where its modules stand — only the modules themselves matter.
-        if (noop) continue;
-        const std::size_t m = static_cast<std::size_t>(idx);
-        for (int a = pair_offsets_[m]; a < pair_offsets_[m + 1]; ++a) {
-          const PairEntry& pe = pair_entries_[static_cast<std::size_t>(
-              pair_adjacency_[static_cast<std::size_t>(a)])];
-          batch_deps_.push_back(pe.i == idx ? pe.j : pe.i);
-        }
-        if (!link_entries_.empty()) {
-          for (int a = link_offsets_[m]; a < link_offsets_[m + 1]; ++a) {
-            const RouteLink& link =
-                link_entries_[static_cast<std::size_t>(link_adjacency_[
-                    static_cast<std::size_t>(a)])].link;
-            batch_deps_.push_back(link.target_module);
-            if (link.source_module >= 0) {
-              batch_deps_.push_back(link.source_module);
-            }
-          }
-        }
-      }
-      entry.dep_end = static_cast<int>(batch_deps_.size());
-      revert();
-      ++spec_priced_;
-    }
-    batch_.push_back(entry);
-  }
-  return count;
-}
-
-bool IncrementalPlacementState::speculation_valid(
-    const BatchEntry& entry) const {
-  if (commit_epoch_ == batch_epoch_) return true;  // nothing accepted since
-  if (entry.scanned_bbox) return false;  // the price read every footprint
-  if (!entry.noop && bbox_epoch_ > batch_epoch_) return false;
-  for (int a = entry.dep_begin; a < entry.dep_end; ++a) {
-    const std::size_t m =
-        static_cast<std::size_t>(batch_deps_[static_cast<std::size_t>(a)]);
-    if (module_epoch_[m] > batch_epoch_) return false;
-  }
-  return true;
-}
-
-double IncrementalPlacementState::activate(int b) {
-  assert(!pending_.active);
-  assert(b >= 0 && static_cast<std::size_t>(b) < batch_.size());
-  const BatchEntry& entry = batch_[static_cast<std::size_t>(b)];
-  if (entry.priced && speculation_valid(entry)) {
-    ++spec_hits_;
-    pending_.active = true;
-    pending_.eager = false;
-    pending_.move = entry.move;  // last_move_kind() + materialization
-    pending_virtual_ = true;
-    return entry.delta;
-  }
-  return propose(entry.move);
 }
 
 }  // namespace dmfb

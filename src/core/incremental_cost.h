@@ -1,7 +1,7 @@
 // incremental_cost.h — O(1)-amortized delta-cost evaluation for the
 // simulated-annealing placers.
 //
-// The copying engine evaluates every proposal by duplicating the whole
+// A copying annealer evaluates every proposal by duplicating the whole
 // Placement and recomputing cost from scratch: overlap walks every
 // conflicting pair, defect usage is O(modules x defects), and (with
 // beta > 0) the FTI evaluator rebuilds every module's occupancy prefix
@@ -20,8 +20,8 @@
 // cost is recomputed from the maintained integer tallies with the exact
 // arithmetic of CostEvaluator::evaluate, so the delta engine's accept
 // decisions — and therefore its whole trajectory — are bit-identical to
-// the copying engine's for the same seed (test_incremental_cost.cpp pins
-// this).
+// the copying oracle's (tests/oracles/) for the same seed
+// (test_incremental_cost.cpp pins this).
 #pragma once
 
 #include <cstdint>
@@ -151,19 +151,6 @@ class IncrementalPlacementState {
   /// propose().
   double propose(const PlacementMove& move);
 
-  /// Draws one random move and prices it in a single fused pass — the
-  /// kFused engine's proposal path. Consumes the same draws in the same
-  /// order as `generate_random_move_with_span` followed by `propose`,
-  /// but skips the intermediate PlacementMove hand-off and the separate
-  /// no-op rescan (generation already knows whether the move lands
-  /// where the module stands). The generated kind is readable via
-  /// `last_move_kind()` until the next proposal.
-  double propose_random(int window_span, const MoveOptions& options,
-                        Rng& rng);
-
-  /// Kind of the most recently proposed move (fused or explicit).
-  MoveKind last_move_kind() const { return pending_.move.kind; }
-
   /// Keeps the proposed move; returns the (new) absolute cost.
   double commit();
 
@@ -171,33 +158,6 @@ class IncrementalPlacementState {
   void revert();
 
   bool has_pending() const { return pending_.active; }
-
-  // --- speculative batching (the kBatched engine) -----------------------
-
-  /// Draws `count` moves from `rng` (the exact per-move draw order of
-  /// generate_random_move_with_span) and stages them as the current
-  /// batch. On the lazy (beta == 0) path each move is also pre-priced
-  /// against the committed placement, recording its dependency footprint
-  /// — the touched modules plus their CSR pair/link neighbours — so
-  /// activate() can tell whether an intervening acceptance invalidated
-  /// the price. With beta != 0 (pricing mutates the state eagerly) the
-  /// moves are drawn but not pre-priced and every activate() prices
-  /// fresh. Requires no outstanding proposal. Returns `count`.
-  int speculate_batch(int window_span, const MoveOptions& options, Rng& rng,
-                      int count);
-
-  /// Stages batch entry `b` as the pending proposal and returns its cost
-  /// delta: served from the speculative price when every module in the
-  /// entry's dependency footprint — and the bounding box, when the price
-  /// read it — is untouched since the batch was drawn, else re-priced
-  /// fresh (the move itself is kept either way; only the stale price is
-  /// discarded). Resolve with commit()/revert() as usual.
-  double activate(int b);
-
-  /// Lifetime speculation counters behind AnnealingStats' hit-rate
-  /// telemetry: prices computed ahead, and prices served still-valid.
-  long long speculation_priced() const { return spec_priced_; }
-  long long speculation_hits() const { return spec_hits_; }
 
  private:
   struct TouchedModule {
@@ -228,10 +188,6 @@ class IncrementalPlacementState {
     int cand_outside_count = 0;
     Rect cand_bbox;
     double cand_value = 0.0;
-    /// Lazy pricing fell back to the full footprint scan for the
-    /// candidate bounding box (read by speculate_batch: such a price
-    /// depends on every module, so any later acceptance invalidates it).
-    bool scanned_bbox = false;
 
     // Eager (beta != 0) undo data, applied by revert().
     TouchedModule old_modules[2];
@@ -248,17 +204,13 @@ class IncrementalPlacementState {
   };
 
   /// The combined objective, in the exact expression order of
-  /// CostEvaluator::evaluate (bit-compatibility with the copy engine).
+  /// CostEvaluator::evaluate (bit-compatibility with the copying oracle).
   double value_of(long long area_cells, long long overlap_cells,
                   long long defect_cells, double fti,
                   long long route_pressure) const;
 
   /// value_of over the committed tallies.
   double value_from_tallies() const;
-
-  /// Pricing shared by propose()/propose_random(): `noop` tells it the
-  /// move provably lands every touched module exactly where it stands.
-  double propose_known(const PlacementMove& move, bool noop);
 
   double propose_eager(const PlacementMove& move);
 
@@ -346,42 +298,6 @@ class IncrementalPlacementState {
   /// re-pricing.
   std::vector<std::uint64_t> pair_stamp_;
   std::uint64_t stamp_ = 0;
-
-  /// One speculatively drawn (and, on the lazy path, priced) move of the
-  /// current batch. `deps` below are module indices whose cached cost
-  /// terms the price read: the touched modules themselves plus, for
-  /// non-noops, their pair/link CSR neighbours.
-  struct BatchEntry {
-    PlacementMove move;
-    bool noop = false;
-    bool priced = false;        ///< the delta below is servable
-    bool scanned_bbox = false;  ///< the price read every footprint
-    double delta = 0.0;
-    int dep_begin = 0;  ///< [dep_begin, dep_end) into batch_deps_
-    int dep_end = 0;
-  };
-
-  bool speculation_valid(const BatchEntry& entry) const;
-
-  std::vector<BatchEntry> batch_;
-  std::vector<int> batch_deps_;
-  /// Commit epochs behind speculation_valid: commit() bumps the epoch per
-  /// applied non-noop move and high-water-marks the touched modules (and
-  /// the bounding box when it changed), so "untouched since the batch was
-  /// drawn" is an O(|deps|) comparison. module_epoch_ stays empty — and
-  /// the kDelta/kFused commit path pays nothing — until the first
-  /// speculate_batch call engages it.
-  std::uint64_t commit_epoch_ = 0;
-  std::uint64_t bbox_epoch_ = 0;
-  std::uint64_t batch_epoch_ = 0;  ///< commit_epoch_ at batch-fill time
-  std::vector<std::uint64_t> module_epoch_;
-  /// The pending proposal is a still-valid speculative serve: nothing was
-  /// mutated or staged — commit() materializes it by re-running propose()
-  /// (acceptances are rare; the extra pricing is off the hot path), and
-  /// revert() just drops the flag.
-  bool pending_virtual_ = false;
-  long long spec_priced_ = 0;
-  long long spec_hits_ = 0;
 
   double value_ = 0.0;
   Pending pending_;

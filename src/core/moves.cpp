@@ -45,8 +45,11 @@ std::istream& operator>>(std::istream& is, MoveKind& kind) {
   return is;
 }
 
-namespace detail {
+namespace {
 
+/// Clamps `anchor` so a footprint of module `index`'s spec in the given
+/// orientation stays inside the canvas (a footprint too large for the
+/// canvas pins to 0 instead of handing std::clamp an inverted range).
 Point clamp_anchor(const Placement& placement, int index, bool rotated,
                    Point anchor) {
   // modules()[...] over module(): index is in range by construction and
@@ -59,6 +62,9 @@ Point clamp_anchor(const Placement& placement, int index, bool rotated,
   return Point{std::clamp(anchor.x, 0, max_x), std::clamp(anchor.y, 0, max_y)};
 }
 
+/// Orientation after a requested flip; square footprints are
+/// rotation-invariant so flipping them would be a null move. Returns
+/// whether the orientation actually changed.
 bool flipped_orientation(const Placement& placement, int index,
                          bool& rotated) {
   const auto& m = placement.module(index);
@@ -68,10 +74,7 @@ bool flipped_orientation(const Placement& placement, int index,
   return true;
 }
 
-}  // namespace detail
-
-using detail::clamp_anchor;
-using detail::flipped_orientation;
+}  // namespace
 
 Point max_anchor(const Placement& placement, int index) {
   const auto& m = placement.module(index);

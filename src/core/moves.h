@@ -58,9 +58,9 @@ struct ModuleMove {
 /// A generated move as a value: the final (anchor, orientation) of every
 /// touched module (one for displacements, two for pair interchanges). The
 /// delta-cost annealing engine applies and undoes these without copying
-/// the placement; `apply_random_move` is now a generate + apply pair, so
-/// both engines draw the identical random stream and stay seed-for-seed
-/// reproducible against each other.
+/// the placement; `apply_random_move` is a generate + apply pair, so the
+/// engine and its copying oracle (tests/oracles/) draw the identical
+/// random stream and stay seed-for-seed reproducible against each other.
 struct PlacementMove {
   MoveKind kind = MoveKind::kDisplace;
   int count = 0;          ///< touched modules (0 on an empty placement)
@@ -96,25 +96,6 @@ MoveKind apply_random_move(Placement& placement, double temperature_fraction,
 
 /// Largest legal anchor for module `index` given its current orientation.
 Point max_anchor(const Placement& placement, int index);
-
-namespace detail {
-
-/// Clamps `anchor` so a footprint of module `index`'s spec in the given
-/// orientation stays inside the canvas (a footprint too large for the
-/// canvas pins to 0 instead of handing std::clamp an inverted range).
-/// Shared by the move generator and the fused proposal path
-/// (IncrementalPlacementState::propose_random) so both clamp
-/// identically.
-Point clamp_anchor(const Placement& placement, int index, bool rotated,
-                   Point anchor);
-
-/// Orientation after a requested flip; square footprints are
-/// rotation-invariant so flipping them would be a null move. Returns
-/// whether the orientation actually changed.
-bool flipped_orientation(const Placement& placement, int index,
-                         bool& rotated);
-
-}  // namespace detail
 
 /// Half-span of the controlling window for the given temperature fraction:
 /// from the full canvas extent at T = T0 down to options.min_window.

@@ -9,7 +9,6 @@
 
 #include "core/greedy_placer.h"
 #include "core/kamer_placer.h"
-#include "core/portfolio_placer.h"
 #include "core/two_stage_placer.h"
 #include "util/rng.h"
 
@@ -127,17 +126,6 @@ class TwoStagePlacer final : public Placer {
   }
 };
 
-class PortfolioPlacer final : public Placer {
- public:
-  std::string name() const override { return "portfolio"; }
-
-  PlacementOutcome place(const Schedule& schedule,
-                         const PlacerContext& context) const override {
-    return place_portfolio(schedule, sa_options_from(context),
-                           context.portfolio);
-  }
-};
-
 }  // namespace
 
 const char* to_string(PlacerKind kind) {
@@ -152,8 +140,6 @@ const char* to_string(PlacerKind kind) {
       return "optimal";
     case PlacerKind::kTwoStage:
       return "two-stage";
-    case PlacerKind::kPortfolio:
-      return "portfolio";
   }
   return "?";
 }
@@ -165,11 +151,9 @@ PlacerKind from_string<PlacerKind>(std::string_view text) {
   if (text == "kamer") return PlacerKind::kKamer;
   if (text == "optimal") return PlacerKind::kOptimal;
   if (text == "two-stage") return PlacerKind::kTwoStage;
-  if (text == "portfolio") return PlacerKind::kPortfolio;
   throw std::invalid_argument(
       "unknown PlacerKind \"" + std::string(text) +
-      "\" (expected one of: sa, greedy, kamer, optimal, two-stage, "
-      "portfolio)");
+      "\" (expected one of: sa, greedy, kamer, optimal, two-stage)");
 }
 
 std::ostream& operator<<(std::ostream& os, PlacerKind kind) {
@@ -194,8 +178,6 @@ SaPlacerOptions sa_options_from(const PlacerContext& context) {
   options.defects = context.defects;
   options.route_links = context.route_links;
   options.seed = context.seed;
-  options.engine = context.engine;
-  options.speculation_lookahead = context.speculation_lookahead;
   options.initial = context.initial_placement;
   return options;
 }
@@ -211,8 +193,6 @@ PlacerRegistry::PlacerRegistry() {
                   [] { return std::make_unique<ExactPlacer>(); });
   register_placer(to_string(PlacerKind::kTwoStage),
                   [] { return std::make_unique<TwoStagePlacer>(); });
-  register_placer(to_string(PlacerKind::kPortfolio),
-                  [] { return std::make_unique<PortfolioPlacer>(); });
 }
 
 PlacerRegistry& PlacerRegistry::global() {

@@ -3,10 +3,9 @@
 //
 // The paper's flow treats placement as one pluggable stage: architectural-
 // level synthesis hands a Schedule to *some* placer, which returns module
-// locations. The repo grew six placers (greedy bottom-left, KAMER-style
-// online, simulated annealing, the portfolio of exchange-coupled annealing
-// replicas, exact branch-and-bound, and the two-stage fault-aware flow),
-// each with its own free function and option struct;
+// locations. The repo has five placers (greedy bottom-left, KAMER-style
+// online, simulated annealing, exact branch-and-bound, and the two-stage
+// fault-aware flow), each with its own free function and option struct;
 // this header unifies them behind one abstract `Placer` so drivers,
 // benches and the `SynthesisPipeline` facade (assay/pipeline.h) can select
 // a backend by name:
@@ -30,7 +29,6 @@
 #include "core/cost.h"
 #include "core/moves.h"
 #include "core/optimal_placer.h"
-#include "core/portfolio_placer.h"
 #include "core/reconfig.h"
 #include "core/sa_placer.h"
 #include "util/enum_text.h"
@@ -45,18 +43,17 @@ enum class PlacerKind {
   kKamer,     ///< KAMER-style online best-fit over maximal empty rectangles
   kOptimal,   ///< exact branch-and-bound (small instances only)
   kTwoStage,  ///< fault-aware two-stage annealing (§6.2)
-  kPortfolio, ///< N exchange-coupled SA replicas raced over the thread pool
 };
 
 /// Registry name of a built-in placer kind ("sa", "greedy", "kamer",
-/// "optimal", "two-stage", "portfolio").
+/// "optimal", "two-stage").
 const char* to_string(PlacerKind kind);
 template <>
 PlacerKind from_string<PlacerKind>(std::string_view text);
 std::ostream& operator<<(std::ostream& os, PlacerKind kind);
 std::istream& operator>>(std::istream& is, PlacerKind& kind);
 
-/// Everything a placement backend may need, superseding the six per-placer
+/// Everything a placement backend may need, superseding the per-placer
 /// option structs. Backends read the fields relevant to them and ignore the
 /// rest; `seed` drives every stochastic backend so one number reproduces a
 /// run (see PipelineOptions::seed).
@@ -83,20 +80,6 @@ struct PlacerContext {
   MoveOptions moves;
   CostWeights weights;  ///< beta = 0 keeps the objective area-only
   FtiOptions fti_options;
-  /// Proposal-evaluation engine (both annealing stages); kDelta and kCopy
-  /// give identical results (kDelta the fast path), kFused trades the
-  /// legacy random stream for the fastest proposal loop, kBatched adds
-  /// speculative batched pricing on top of kFused.
-  AnnealingEngine engine = AnnealingEngine::kDelta;
-  /// kBatched only: moves drawn and priced ahead per batch (see
-  /// SaPlacerOptions::speculation_lookahead).
-  int speculation_lookahead = 8;
-
-  // "portfolio": replica count / exchange period / temperature ladder /
-  // worker threads / early-stop target (core/portfolio_placer.h). The
-  // replicas anneal with the fields above ("sa" options); kCopy is
-  // rejected as the replica engine, kDelta runs the fused proposal path.
-  PortfolioOptions portfolio;
 
   // "two-stage" refinement (§6.2).
   double two_stage_beta = 30.0;  ///< fault-tolerance weight of stage 2
@@ -138,7 +121,7 @@ class Placer {
                                  const PlacerContext& context) const = 0;
 };
 
-/// String-keyed placer factory. The six built-ins are pre-registered;
+/// String-keyed placer factory. The five built-ins are pre-registered;
 /// `register_placer` adds custom backends process-wide. All methods are
 /// thread-safe (run_many workers resolve placers concurrently). The
 /// locking machinery is the shared detail::NamedRegistry (util/registry.h).

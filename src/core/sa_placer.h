@@ -6,8 +6,8 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
+#include <vector>
 
 #include "assay/schedule.h"
 #include "core/annealer.h"
@@ -15,46 +15,8 @@
 #include "core/moves.h"
 #include "core/placement.h"
 #include "util/deprecation.h"
-#include "util/enum_text.h"
 
 namespace dmfb {
-
-/// How the annealer evaluates proposals.
-enum class AnnealingEngine {
-  /// In-place move/undo over an IncrementalPlacementState: each proposal
-  /// re-prices only the cost terms the move touched. The fast path, and
-  /// seed-for-seed identical to kCopy (test_incremental_cost.cpp).
-  kDelta,
-  /// Per-proposal Placement copy + full cost re-evaluation — the original
-  /// engine, kept as the cross-check oracle and for custom problem forms.
-  kCopy,
-  /// kDelta plus a fused proposal loop (anneal_fused): move generation
-  /// fused into the delta pricing, the controlling-window span hoisted
-  /// per temperature step, and the Metropolis draws batched from a
-  /// dedicated stream split off the run seed. Deterministic per seed and
-  /// same acceptance rule, but a *different* (versioned) random
-  /// discipline — results are NOT the kDelta/kCopy placement. Pinned by
-  /// tests/test_sa_placer.cpp and test_annealer.cpp.
-  kFused,
-  /// kFused plus speculative batched proposal pricing (anneal_batched):
-  /// SaPlacerOptions::speculation_lookahead moves are drawn and priced
-  /// ahead of the serial Metropolis decisions; a price is discarded
-  /// (re-priced fresh) when an intervening acceptance touched its
-  /// module/adjacency dependency footprint. Its own versioned stream —
-  /// bit-identical to kFused at lookahead 1, deterministic per seed
-  /// otherwise. AnnealingStats::speculated / speculation_hits report the
-  /// hit-rate.
-  kBatched,
-};
-
-/// Textual round-trip ("delta", "copy", "fused", "batched") for logs and
-/// bench JSON; `from_string` and `>>` throw std::invalid_argument on
-/// unknown text.
-const char* to_string(AnnealingEngine engine);
-template <>
-AnnealingEngine from_string<AnnealingEngine>(std::string_view text);
-std::ostream& operator<<(std::ostream& os, AnnealingEngine engine);
-std::istream& operator>>(std::istream& is, AnnealingEngine& engine);
 
 /// Everything configurable about one annealing run.
 struct SaPlacerOptions {
@@ -73,16 +35,6 @@ struct SaPlacerOptions {
   /// gamma = 0.
   std::vector<RouteLink> route_links;
   std::uint64_t seed = 0xDA7E2005ULL;
-  /// Proposal-evaluation engine; kDelta and kCopy produce identical
-  /// results (kDelta just much faster), kFused trades the legacy random
-  /// stream for the fastest proposal loop, kBatched adds speculative
-  /// batched pricing on top of kFused.
-  AnnealingEngine engine = AnnealingEngine::kDelta;
-  /// kBatched only: how many moves are drawn and priced ahead of their
-  /// Metropolis decisions per batch. 1 reproduces kFused's trajectory
-  /// bit for bit; larger values amortize generation at the price of
-  /// re-pricing speculation an acceptance invalidated.
-  int speculation_lookahead = 8;
   /// Optional warm start (the synthesis service's placement memo): module
   /// poses are copied index-by-index onto the new schedule's placement and
   /// annealed from there instead of the greedy constructive initial. Used
@@ -99,23 +51,7 @@ struct PlacementOutcome {
   CostBreakdown cost;      ///< of the returned placement
   AnnealingStats stats;
   double wall_seconds = 0.0;
-  /// Per-replica loop stats, filled by the "portfolio" backend only
-  /// (core/portfolio_placer.h); empty for single-run placers. `stats`
-  /// above then aggregates across replicas (see anneal_portfolio).
-  std::vector<AnnealingStats> replica_stats;
 };
-
-namespace detail {
-
-/// Transfers module poses from a warm-start placement onto `seeded` (built
-/// from the *current* schedule) and validates the result. Returns false —
-/// leaving the caller to fall back to a greedy initial — when the counts
-/// differ or the transferred poses are infeasible or touch a defect.
-/// Shared by the "sa" warm path and the portfolio's replica-0 seeding.
-bool seed_from_warm_start(Placement& seeded, const Placement& warm,
-                          const SaPlacerOptions& options);
-
-}  // namespace detail
 
 /// Anneals from a greedy constructive initial placement. The returned
 /// placement is the best feasible (overlap-free, in-canvas) one seen;
@@ -125,8 +61,15 @@ PlacementOutcome place_simulated_annealing(const Schedule& schedule,
                                            const SaPlacerOptions& options = {});
 
 /// Same, but annealing from a caller-supplied initial placement (used by
-/// the two-stage placer's refinement step and by tests).
+/// the two-stage placer's refinement step and by tests). Every proposal
+/// is priced in place by an IncrementalPlacementState (the delta engine).
+/// Throws std::invalid_argument when check_schedule rejects the schedule.
 PlacementOutcome anneal_from(const Placement& initial,
                              const SaPlacerOptions& options);
+
+/// Throws std::invalid_argument unless `schedule` cools to a stop in
+/// finitely many temperature steps: 0 < cooling_rate < 1, min_temperature
+/// positive and finite, and initial_temperature finite.
+void check_schedule(const AnnealingSchedule& schedule);
 
 }  // namespace dmfb

@@ -39,7 +39,6 @@ void mix_placer_context(HashStream& h, const PlacerContext& c) {
       .mix(c.moves.min_window);
   mix_weights(h, c.weights);
   h.mix(c.fti_options.allow_rotation);
-  h.mix(static_cast<int>(c.engine));
   h.mix(c.two_stage_beta);
   mix_annealing(h, c.ltsa);
   h.mix(c.optimal.max_modules)

@@ -1,6 +1,7 @@
 #include "service/server.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <mutex>
 #include <stdexcept>
@@ -15,8 +16,17 @@
 namespace dmfb {
 namespace {
 
+/// Rejects non-integral and out-of-range numbers: the double -> int cast
+/// is undefined behaviour outside int's range.
 int as_int(const json::Value& value) {
-  return static_cast<int>(value.as_number());
+  const double number = value.as_number();
+  if (!(number >= std::numeric_limits<int>::min() &&
+        number <= std::numeric_limits<int>::max()) ||
+      number != std::trunc(number)) {
+    throw std::invalid_argument("expected an integer, got " +
+                                value.dump());
+  }
+  return static_cast<int>(number);
 }
 
 std::uint64_t as_u64(const json::Value& value) {
@@ -45,6 +55,10 @@ void parse_annealing(const json::Value& value, AnnealingSchedule& schedule) {
       throw std::invalid_argument("unknown annealing option \"" + key + "\"");
     }
   }
+  // Here as well as in anneal_from: a warm-started compile anneals with
+  // the service's own refinement schedule, which would mask a request
+  // schedule that never terminates.
+  check_schedule(schedule);
 }
 
 json::Value stats_line(const CacheStats& stats) {
@@ -100,9 +114,6 @@ void parse_pipeline_options(const json::Value& value,
       options.placer_context.weights.gamma = field.as_number();
     } else if (key == "beta") {
       options.placer_context.weights.beta = field.as_number();
-    } else if (key == "engine") {
-      options.placer_context.engine =
-          from_string<AnnealingEngine>(field.as_string());
     } else if (key == "annealing") {
       parse_annealing(field, options.placer_context.annealing);
     } else if (key == "feedback_rounds") {
@@ -161,7 +172,6 @@ json::Value pipeline_options_to_json(const PipelineOptions& options) {
   }
   doc.set("gamma", options.placer_context.weights.gamma);
   doc.set("beta", options.placer_context.weights.beta);
-  doc.set("engine", to_string(options.placer_context.engine));
   {
     const AnnealingSchedule& s = options.placer_context.annealing;
     json::Value annealing;

@@ -42,7 +42,7 @@ namespace dmfb {
 
 /// Applies a wire "options" JSON object onto `options` (the request
 /// surface documented above: seed, placer, router, canvas, chip,
-/// defects, gamma, beta, engine, annealing, feedback_rounds, deadline_s,
+/// defects, gamma, beta, annealing, feedback_rounds, deadline_s,
 /// plan_droplet_routes, persist_congestion_history, simulate,
 /// fault_plan ([[t,x,y],...] mid-run injections — the response then
 /// carries a "recovery" telemetry block), recovery_deadline_s,

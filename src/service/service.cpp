@@ -18,10 +18,8 @@ double seconds_since(Clock::time_point start) {
 }
 
 /// Warm starts only help backends that anneal from an initial placement.
-/// The portfolio seeds replica 0 from the memo and leaves the other
-/// replicas on their fresh split seeds.
 bool placer_accepts_warm_start(const std::string& placer) {
-  return placer == "sa" || placer == "two-stage" || placer == "portfolio";
+  return placer == "sa" || placer == "two-stage";
 }
 
 /// The refinement schedule for a warm-started compile: the configured

@@ -389,7 +389,9 @@ OnlineRunResult OnlineRecoveryEngine::run(const SequencingGraph& graph,
 
   out.final_schedule = std::move(sched);
   out.final_placement = std::move(plc);
-  rep.recovery_wall_s = wall_s();
+  for (const RecoveryAttempt& attempt : rep.attempts) {
+    rep.recovery_wall_s += attempt.wall_s;
+  }
   return out;
 }
 

@@ -150,7 +150,7 @@ struct RecoveryOptions {
   bool enable_reroute = true;
   bool enable_replace = true;
   /// Placer registry name for the replace rung; must be defect-aware
-  /// ("sa", "greedy", "two-stage", "portfolio").
+  /// ("sa", "greedy", "two-stage").
   std::string replace_placer = "sa";
   /// Context for the replace rung. canvas dimensions of 0 inherit the
   /// failing placement's canvas; defects and the warm-start placement are

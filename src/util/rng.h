@@ -174,22 +174,8 @@ class Rng {
   /// within n draws is ~ k^2 * n / 2^64 states visited out of 2^256
   /// (test_rng.cpp pins no pairwise overlap across the parent and four
   /// children for the first 10^5 draws each). Note split() advances the
-  /// parent: the order of split() calls matters for reproducibility —
-  /// use split_n() where call order must not.
+  /// parent: the order of split() calls matters for reproducibility.
   Rng split() { return Rng(next() ^ 0x9e3779b97f4a7c15ULL); }
-
-  /// Order-independent indexed split: derives the index-th child from the
-  /// construction seed alone, consuming nothing from this generator's
-  /// stream. `parent.split_n(i)` is therefore the same generator no
-  /// matter how many draws or split() calls the parent has made — the
-  /// portfolio placer keys replica r's stream off (seed, r) this way so
-  /// replica seeds cannot depend on spawn order. Children for distinct
-  /// indices are distinct SplitMix64 outputs of distinct inputs; the same
-  /// overlap bound as split() applies.
-  Rng split_n(std::uint64_t index) const {
-    SplitMix64 sm(seed_ ^ (0x9e3779b97f4a7c15ULL * (index + 1)));
-    return Rng(sm.next());
-  }
 
  private:
   static constexpr std::uint64_t rotl(std::uint64_t v, int k) {

@@ -1,4 +1,5 @@
-// Tests for the generic simulated-annealing engine (core/annealer.h),
+// Tests for the simulated-annealing loop (core/annealer.h's in-place
+// anneal_delta) and its copying oracle (tests/oracles/copy_annealer.h),
 // exercised on simple numeric problems with known optima.
 #include "core/annealer.h"
 
@@ -7,8 +8,13 @@
 #include <cmath>
 #include <cstdlib>
 
+#include "oracles/copy_annealer.h"
+
 namespace dmfb {
 namespace {
+
+using oracle::anneal;
+using oracle::AnnealingProblem;
 
 /// 1-D quadratic: minimum at x = 17.
 AnnealingProblem<int> quadratic_problem() {
@@ -119,9 +125,10 @@ TEST(AnnealerTest, NoRecordableStateFallsBackToCurrent) {
   SUCCEED();
 }
 
-/// Minimal in-place state for the fused loop: an integer walker with
-/// propose/commit/revert semantics over the quadratic objective.
-struct FusedQuadratic {
+/// Minimal in-place state for anneal_delta: an integer walker with
+/// propose/commit/revert semantics over the quadratic objective, drawing
+/// its moves exactly like quadratic_problem()'s neighbour.
+struct InPlaceQuadratic {
   int current = 1000;
   int pending = 1000;
 
@@ -131,11 +138,12 @@ struct FusedQuadratic {
   }
 
   struct Problem {
-    FusedQuadratic* state;
-    double (*propose_delta_fn)(FusedQuadratic&, double, Rng&);
+    InPlaceQuadratic* state;
 
     double propose_delta(double fraction, Rng& rng) const {
-      return propose_delta_fn(*state, fraction, rng);
+      const int span = std::max(1, static_cast<int>(100 * fraction));
+      state->pending = state->current + rng.next_int(-span, span);
+      return cost_of(state->pending) - cost_of(state->current);
     }
     double commit() const {
       state->current = state->pending;
@@ -146,47 +154,40 @@ struct FusedQuadratic {
     void record_best(double) const {}
   };
 
-  Problem problem() {
-    return Problem{this, [](FusedQuadratic& s, double fraction, Rng& rng) {
-                     const int span =
-                         std::max(1, static_cast<int>(100 * fraction));
-                     s.pending = s.current + rng.next_int(-span, span);
-                     return cost_of(s.pending) - cost_of(s.current);
-                   }};
-  }
+  Problem problem() { return Problem{this}; }
 };
 
-TEST(AnnealerTest, FusedFindsQuadraticMinimum) {
-  FusedQuadratic state;
+TEST(AnnealerTest, DeltaFindsQuadraticMinimum) {
+  InPlaceQuadratic state;
   Rng rng(1);
   AnnealingSchedule schedule;
   schedule.initial_temperature = 1000.0;
   schedule.min_temperature = 0.01;
   AnnealingStats stats;
   const double best =
-      anneal_fused(FusedQuadratic::cost_of(state.current), state.problem(),
+      anneal_delta(InPlaceQuadratic::cost_of(state.current), state.problem(),
                    schedule, 1, rng, &stats);
   EXPECT_DOUBLE_EQ(best, 0.0);
   EXPECT_DOUBLE_EQ(stats.best_cost, 0.0);
 }
 
-TEST(AnnealerTest, FusedDeterministicForSeed) {
+TEST(AnnealerTest, DeltaDeterministicForSeed) {
   AnnealingSchedule schedule;
   schedule.initial_temperature = 100.0;
   schedule.iterations_per_module = 50;
-  FusedQuadratic a;
-  FusedQuadratic b;
+  InPlaceQuadratic a;
+  InPlaceQuadratic b;
   Rng rng_a(7);
   Rng rng_b(7);
-  EXPECT_EQ(anneal_fused(FusedQuadratic::cost_of(a.current), a.problem(),
+  EXPECT_EQ(anneal_delta(InPlaceQuadratic::cost_of(a.current), a.problem(),
                          schedule, 2, rng_a),
-            anneal_fused(FusedQuadratic::cost_of(b.current), b.problem(),
+            anneal_delta(InPlaceQuadratic::cost_of(b.current), b.problem(),
                          schedule, 2, rng_b));
   EXPECT_EQ(a.current, b.current);
 }
 
-TEST(AnnealerTest, FusedStatsAreConsistent) {
-  FusedQuadratic state;
+TEST(AnnealerTest, DeltaStatsAreConsistent) {
+  InPlaceQuadratic state;
   Rng rng(3);
   AnnealingSchedule schedule;
   schedule.initial_temperature = 100.0;
@@ -194,122 +195,41 @@ TEST(AnnealerTest, FusedStatsAreConsistent) {
   schedule.iterations_per_module = 10;
   schedule.min_temperature = 1.0;
   AnnealingStats stats;
-  anneal_fused(FusedQuadratic::cost_of(state.current), state.problem(),
+  anneal_delta(InPlaceQuadratic::cost_of(state.current), state.problem(),
                schedule, 3, rng, &stats);
-  // Same schedule shape as the legacy loop: 7 halvings from 100 to > 1.
+  // Temperatures: 100, 50, 25, ..., > 1 — ceil(log2(100)) = 7 steps.
   EXPECT_EQ(stats.temperature_steps, 7);
   EXPECT_EQ(stats.proposals, 7LL * 10 * 3);
   EXPECT_LE(stats.accepted, stats.proposals);
   EXPECT_LE(stats.uphill_accepted, stats.accepted);
   EXPECT_GT(stats.accepted, 0);
+  EXPECT_LE(stats.final_temperature, 1.0);
 }
 
-/// BatchedQuadratic: the integer walker with anneal_batched's
-/// speculate/activate surface. Offsets are drawn batch-at-a-time and
-/// applied relative to the activation-time state, so the move stream is
-/// consumed in the same order as FusedQuadratic's — at lookahead 1 the
-/// trajectories must match bit for bit.
-struct BatchedQuadratic {
-  int current = 1000;
-  int pending = 1000;
-  int offsets[64] = {};
-
-  struct Problem {
-    BatchedQuadratic* state;
-
-    int speculate(double fraction, Rng& rng, int capacity) const {
-      const int span = std::max(1, static_cast<int>(100 * fraction));
-      for (int b = 0; b < capacity; ++b) {
-        state->offsets[b] = rng.next_int(-span, span);
-      }
-      return capacity;
-    }
-    double activate(int b) const {
-      state->pending = state->current + state->offsets[b];
-      return FusedQuadratic::cost_of(state->pending) -
-             FusedQuadratic::cost_of(state->current);
-    }
-    double commit() const {
-      state->current = state->pending;
-      return FusedQuadratic::cost_of(state->current);
-    }
-    void revert() const {}
-    bool recordable() const { return true; }
-    void record_best(double) const {}
-  };
-
-  Problem problem() { return Problem{this}; }
-};
-
-TEST(AnnealerTest, BatchedFindsQuadraticMinimum) {
-  BatchedQuadratic state;
-  Rng rng(1);
+TEST(AnnealerTest, DeltaMatchesCopyingLoopSeedForSeed) {
+  // Same moves, same Metropolis draws, same acceptance rule: the in-place
+  // loop and the copying oracle walk the identical trajectory.
   AnnealingSchedule schedule;
   schedule.initial_temperature = 1000.0;
-  schedule.min_temperature = 0.01;
-  AnnealingStats stats;
-  const double best = anneal_batched(FusedQuadratic::cost_of(state.current),
-                                     state.problem(), schedule, 1,
-                                     /*lookahead=*/8, rng, &stats);
-  EXPECT_DOUBLE_EQ(best, 0.0);
-  EXPECT_DOUBLE_EQ(stats.best_cost, 0.0);
-}
-
-TEST(AnnealerTest, BatchedLookaheadOneMatchesFused) {
-  AnnealingSchedule schedule;
-  schedule.initial_temperature = 1000.0;
-  schedule.iterations_per_module = 50;
+  schedule.cooling_rate = 0.8;
+  schedule.iterations_per_module = 40;
   schedule.min_temperature = 0.05;
-  FusedQuadratic fused;
-  BatchedQuadratic batched;
-  Rng rng_f(7);
-  Rng rng_b(7);
-  AnnealingStats sf, sb;
-  const double best_f = anneal_fused(FusedQuadratic::cost_of(fused.current),
-                                     fused.problem(), schedule, 2, rng_f, &sf);
-  const double best_b = anneal_batched(
-      FusedQuadratic::cost_of(batched.current), batched.problem(), schedule,
-      2, /*lookahead=*/1, rng_b, &sb);
-  EXPECT_EQ(best_f, best_b);
-  EXPECT_EQ(fused.current, batched.current);
-  EXPECT_EQ(sf.accepted, sb.accepted);
-  EXPECT_EQ(sf.uphill_accepted, sb.uphill_accepted);
-}
-
-TEST(AnnealerTest, BatchedDeterministicForSeed) {
-  AnnealingSchedule schedule;
-  schedule.initial_temperature = 100.0;
-  schedule.iterations_per_module = 50;
-  BatchedQuadratic a;
-  BatchedQuadratic b;
-  Rng rng_a(7);
-  Rng rng_b(7);
-  EXPECT_EQ(anneal_batched(FusedQuadratic::cost_of(a.current), a.problem(),
-                           schedule, 2, 8, rng_a),
-            anneal_batched(FusedQuadratic::cost_of(b.current), b.problem(),
-                           schedule, 2, 8, rng_b));
-  EXPECT_EQ(a.current, b.current);
-}
-
-TEST(AnnealerTest, BatchedStatsAreConsistent) {
-  BatchedQuadratic state;
-  Rng rng(3);
-  AnnealingSchedule schedule;
-  schedule.initial_temperature = 100.0;
-  schedule.cooling_rate = 0.5;
-  schedule.iterations_per_module = 10;
-  schedule.min_temperature = 1.0;
-  AnnealingStats stats;
-  anneal_batched(FusedQuadratic::cost_of(state.current), state.problem(),
-                 schedule, 3, /*lookahead=*/7, rng, &stats);
-  // Batching changes when moves are generated, never how many decisions
-  // run: the same 7 halvings and the same per-step inner count (the last
-  // batch of each step is clipped, not padded).
-  EXPECT_EQ(stats.temperature_steps, 7);
-  EXPECT_EQ(stats.proposals, 7LL * 10 * 3);
-  EXPECT_LE(stats.accepted, stats.proposals);
-  EXPECT_LE(stats.uphill_accepted, stats.accepted);
-  EXPECT_GT(stats.accepted, 0);
+  InPlaceQuadratic state;
+  Rng rng_delta(29);
+  Rng rng_copy(29);
+  AnnealingStats delta_stats;
+  AnnealingStats copy_stats;
+  const double best_delta =
+      anneal_delta(InPlaceQuadratic::cost_of(state.current), state.problem(),
+                   schedule, 2, rng_delta, &delta_stats);
+  const int best_copy =
+      anneal(1000, quadratic_problem(), schedule, 2, rng_copy, &copy_stats);
+  EXPECT_EQ(best_delta, InPlaceQuadratic::cost_of(best_copy));
+  EXPECT_EQ(delta_stats.proposals, copy_stats.proposals);
+  EXPECT_EQ(delta_stats.accepted, copy_stats.accepted);
+  EXPECT_EQ(delta_stats.uphill_accepted, copy_stats.uphill_accepted);
+  EXPECT_EQ(delta_stats.temperature_steps, copy_stats.temperature_steps);
+  EXPECT_EQ(rng_delta.next(), rng_copy.next());  // identical consumption
 }
 
 TEST(AnnealerTest, PaperDefaultsMatchSection4d) {

@@ -1,7 +1,7 @@
 // Tests for the closed synthesis loop: transport-aware scheduling
 // (Schedule::shift_from / fold_transport / the steps->seconds seam),
 // routing-aware placement (the gamma routing-pressure term, priced
-// identically by the copy and delta annealing engines), link
+// identically by the delta annealing engine and its copying oracle), link
 // extraction/feedback (routing::extract_links / reweight_links), and the
 // SynthesisPipeline feedback rounds. Pins the PR's three contracts:
 //   (a) the transport-inclusive makespan is monotone (>= the
@@ -10,7 +10,7 @@
 //   (b) feedback rounds are deterministic from one seed for any routing
 //       thread count,
 //   (c) with feedback_rounds = 0 and gamma = 0 the flow is bit-identical
-//       to the classic feed-forward pipeline (copy and delta engines).
+//       to the classic feed-forward pipeline (and to the copying oracle).
 #include <algorithm>
 #include <cstdint>
 
@@ -22,6 +22,7 @@
 #include "core/incremental_cost.h"
 #include "core/moves.h"
 #include "core/placer.h"
+#include "oracles/copy_annealer.h"
 #include "sim/route_planner.h"
 #include "sim/router_backend.h"
 #include "util/rng.h"
@@ -260,12 +261,10 @@ TEST(ClosedLoopTest, DeltaAndCopyEnginesAgreeUnderGamma) {
     context.weights.gamma = 0.05;
     context.route_links = links;
 
-    context.engine = AnnealingEngine::kDelta;
     const PlacementOutcome delta =
         make_placer("sa")->place(synth.schedule, context);
-    context.engine = AnnealingEngine::kCopy;
     const PlacementOutcome copy =
-        make_placer("sa")->place(synth.schedule, context);
+        oracle::place_copy(synth.schedule, sa_options_from(context));
 
     // The gamma term is exact integer arithmetic in both engines, so the
     // whole trajectory — not just the answer — coincides.
@@ -278,24 +277,25 @@ TEST(ClosedLoopTest, DeltaAndCopyEnginesAgreeUnderGamma) {
 
 TEST(ClosedLoopTest, GammaZeroFeedbackZeroIsBitIdenticalToClassicFlow) {
   const AssayCase assay = pcr_mixing_assay();
-  for (const AnnealingEngine engine :
-       {AnnealingEngine::kDelta, AnnealingEngine::kCopy}) {
-    PipelineOptions options = fast_options();
-    options.seed = 99;
-    options.placer_context.engine = engine;
-    const PipelineResult piped = SynthesisPipeline(options).run(assay);
+  PipelineOptions options = fast_options();
+  options.seed = 99;
+  const PipelineResult piped = SynthesisPipeline(options).run(assay);
 
-    // The classic flow, hand-wired: same schedule, placer, seed.
-    PlacerContext context = options.placer_context;
-    context.seed = 99;
-    const PlacementOutcome hand =
-        make_placer("sa")->place(piped.schedule, context);
+  // The classic flow, hand-wired: same schedule, placer, seed.
+  PlacerContext context = options.placer_context;
+  context.seed = 99;
+  const PlacementOutcome hand =
+      make_placer("sa")->place(piped.schedule, context);
+  expect_same_placement(piped.placement.placement, hand.placement);
+  EXPECT_EQ(piped.placement.cost.value, hand.cost.value);
+  EXPECT_TRUE(piped.feedback_history.empty());
+  EXPECT_EQ(piped.selected_round, 0);
 
-    expect_same_placement(piped.placement.placement, hand.placement);
-    EXPECT_EQ(piped.placement.cost.value, hand.cost.value);
-    EXPECT_TRUE(piped.feedback_history.empty());
-    EXPECT_EQ(piped.selected_round, 0);
-  }
+  // ...and the copying oracle lands on the very same placement.
+  const PlacementOutcome copy =
+      oracle::place_copy(piped.schedule, sa_options_from(context));
+  expect_same_placement(piped.placement.placement, copy.placement);
+  EXPECT_EQ(piped.placement.cost.value, copy.cost.value);
 }
 
 TEST(ClosedLoopTest, FeedbackKeepsTheBestRoundAndNeverDoesWorse) {

@@ -2,7 +2,7 @@
 // incremental state must track the from-scratch CostEvaluator exactly —
 // after every propose, commit and revert, for beta = 0 and beta > 0, with
 // and without defect maps — and the delta annealing engine must replay the
-// copying engine's trajectory seed for seed.
+// copying oracle's (tests/oracles/) trajectory seed for seed.
 #include "core/incremental_cost.h"
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include "core/fti.h"
 #include "core/moves.h"
 #include "core/sa_placer.h"
+#include "oracles/copy_annealer.h"
 #include "util/rng.h"
 
 namespace dmfb {
@@ -139,8 +140,8 @@ void expect_identical_outcomes(const PlacementOutcome& copy,
   }
 }
 
-/// Seed-for-seed equivalence of the copying and delta engines over a
-/// shortened (but real) annealing run.
+/// Seed-for-seed equivalence of the copying oracle and the delta engine
+/// over a shortened (but real) annealing run.
 void run_engine_equivalence(double beta, std::vector<Point> defects,
                             std::uint64_t seed) {
   Rng rng(seed);
@@ -158,9 +159,7 @@ void run_engine_equivalence(double beta, std::vector<Point> defects,
   options.defects = std::move(defects);
   options.seed = seed;
 
-  options.engine = AnnealingEngine::kCopy;
-  const PlacementOutcome copy = anneal_from(initial, options);
-  options.engine = AnnealingEngine::kDelta;
+  const PlacementOutcome copy = oracle::anneal_copy(initial, options);
   const PlacementOutcome delta = anneal_from(initial, options);
   expect_identical_outcomes(copy, delta);
 }
@@ -179,9 +178,9 @@ TEST(IncrementalCostTest, EnginesAgreeSeedForSeedWithDefects) {
 }
 
 TEST(IncrementalCostTest, GenerateThenApplyEqualsApplyRandomMove) {
-  // The two engines share one random stream contract: generating a move
-  // and applying it must consume and produce exactly what the legacy
-  // in-place mutation does.
+  // The engine and its oracle share one random stream contract:
+  // generating a move and applying it must consume and produce exactly
+  // what the in-place mutation does.
   Rng seed_rng(7);
   const Schedule schedule = mixed_schedule(6, seed_rng);
   Placement a = random_placement(schedule, 16, seed_rng);
@@ -297,127 +296,6 @@ TEST(IncrementalCostTest, CoverageAuditWithFtiAndRoutePressure) {
 
 TEST(IncrementalCostTest, CoverageAuditRoutePressureOnly) {
   run_coverage_audit(/*beta=*/0.0, /*gamma=*/0.05, /*seed=*/404);
-}
-
-TEST(IncrementalCostTest, ProposeRandomMatchesGenerateThenPropose) {
-  // The fused proposal path re-implements the generator; this pins its
-  // documented contract: same draws in the same order, same move, same
-  // delta as generate_random_move_with_span + propose — the kFused
-  // analogue of MovesTest.WithSpanOverloadIsStreamIdentical (kFused
-  // results may differ from kDelta, so a drift between the two
-  // generators would otherwise go unnoticed).
-  Rng seed_rng(55);
-  const Schedule schedule = mixed_schedule(7, seed_rng);
-  const Placement initial = random_placement(schedule, 16, seed_rng);
-  CostWeights weights;
-  weights.beta = 30.0;
-  CostEvaluator evaluator(weights);
-  IncrementalPlacementState fused(initial, evaluator);
-  IncrementalPlacementState split(initial, evaluator);
-
-  MoveOptions moves;  // defaults: displacements, swaps and rotations
-  Rng rng_fused(99);
-  Rng rng_split(99);
-  for (int step = 0; step < 200; ++step) {
-    const double fraction = 1.0 - static_cast<double>(step) / 200.0;
-    const int span =
-        controlling_window_span(fused.placement(), fraction, moves);
-    const double delta_fused = fused.propose_random(span, moves, rng_fused);
-    const PlacementMove move = generate_random_move_with_span(
-        split.placement(), span, moves, rng_split);
-    const double delta_split = split.propose(move);
-    ASSERT_DOUBLE_EQ(delta_fused, delta_split) << "step " << step;
-    ASSERT_EQ(fused.last_move_kind(), move.kind) << "step " << step;
-    if (step % 3 != 0) {
-      ASSERT_DOUBLE_EQ(fused.commit(), split.commit()) << "step " << step;
-    } else {
-      fused.revert();
-      split.revert();
-    }
-  }
-  EXPECT_EQ(rng_fused.next(), rng_split.next());  // identical consumption
-  for (int i = 0; i < fused.placement().module_count(); ++i) {
-    ASSERT_EQ(fused.placement().module(i).anchor,
-              split.placement().module(i).anchor)
-        << "module " << i;
-    ASSERT_EQ(fused.placement().module(i).rotated,
-              split.placement().module(i).rotated)
-        << "module " << i;
-  }
-}
-
-/// Speculation audit: drive speculate_batch/activate with random
-/// commit/revert decisions and verify every activated delta against the
-/// state's own commit arithmetic and the from-scratch evaluator. Served
-/// speculative deltas may differ from a fresh pricing in the last ULPs
-/// (the stored price summed the same terms against marginally different
-/// global totals), so the delta check is a NEAR; the committed absolute
-/// state must still match the evaluator exactly.
-void run_speculation_audit(double beta, std::vector<Point> defects,
-                           int lookahead, std::uint64_t seed) {
-  Rng rng(seed);
-  const Schedule schedule = mixed_schedule(8, rng);
-  const Placement initial = random_placement(schedule, 16, rng);
-
-  CostWeights weights;
-  weights.beta = beta;
-  CostEvaluator evaluator(weights);
-  evaluator.set_defects(std::move(defects));
-
-  IncrementalPlacementState state(initial, evaluator);
-  MoveOptions moves;  // defaults: displacements, swaps and rotations
-
-  long long decisions = 0;
-  for (int round = 0; round < 40; ++round) {
-    const double fraction = 1.0 - static_cast<double>(round) / 40.0;
-    const int span =
-        controlling_window_span(state.placement(), fraction, moves);
-    const int filled = state.speculate_batch(span, moves, rng, lookahead);
-    ASSERT_EQ(filled, lookahead);
-    for (int b = 0; b < filled; ++b) {
-      const double before = state.cost();
-      const double delta = state.activate(b);
-      ASSERT_TRUE(state.has_pending());
-      ++decisions;
-      if (rng.next_bool(0.5)) {
-        const double after = state.commit();
-        const double scale = std::max(1.0, std::abs(before));
-        EXPECT_NEAR(after - before, delta, 1e-9 * scale)
-            << "round " << round << " entry " << b;
-        expect_matches_evaluator(state, evaluator);
-      } else {
-        state.revert();
-        EXPECT_DOUBLE_EQ(state.cost(), before);
-      }
-      ASSERT_FALSE(state.has_pending());
-    }
-  }
-  expect_matches_evaluator(state, evaluator);
-  if (beta == 0.0) {
-    // The lazy path pre-prices every drawn move; commits inside a batch
-    // invalidate some of those prices, never more than were priced.
-    EXPECT_EQ(state.speculation_priced(), decisions);
-    EXPECT_GT(state.speculation_hits(), 0);
-    EXPECT_LE(state.speculation_hits(), state.speculation_priced());
-  } else {
-    // Eager pricing mutates the state, so speculation only pre-draws.
-    EXPECT_EQ(state.speculation_priced(), 0);
-    EXPECT_EQ(state.speculation_hits(), 0);
-  }
-}
-
-TEST(IncrementalCostTest, SpeculationAuditAreaOnly) {
-  run_speculation_audit(/*beta=*/0.0, {}, /*lookahead=*/6, /*seed=*/501);
-  run_speculation_audit(/*beta=*/0.0, {}, /*lookahead=*/1, /*seed=*/502);
-}
-
-TEST(IncrementalCostTest, SpeculationAuditWithDefects) {
-  run_speculation_audit(/*beta=*/0.0, {{3, 3}, {9, 12}, {3, 3}},
-                        /*lookahead=*/6, /*seed=*/511);
-}
-
-TEST(IncrementalCostTest, SpeculationAuditWithFtiFallsBackToFreshPricing) {
-  run_speculation_audit(/*beta=*/30.0, {}, /*lookahead=*/6, /*seed=*/521);
 }
 
 TEST(IncrementalCostTest, EmptyPlacementProposalsAreNoOps) {

@@ -428,6 +428,38 @@ TEST(OnlineRecoveryTest, TwoFaultsTwoCycles) {
   EXPECT_TRUE(out.recovery.recovered);
 }
 
+TEST(OnlineRecoveryTest, RecoveryWallIsTheSumOfAttemptWalls) {
+  const auto setup = chain_setup();
+  const Rect array{0, 0, 24, 24};
+  const OnlineRecoveryEngine engine;
+
+  // No fault fires (none planned, or one planned after the assay ends):
+  // no attempt ran, so no host time went to recovery.
+  FaultInjectionPlan late;
+  late.faults.push_back(PlannedFault{Point{12, 12}, 1e6, -1});
+  for (const FaultInjectionPlan& plan : {FaultInjectionPlan{}, late}) {
+    const auto out =
+        engine.run(setup.graph, setup.schedule, setup.placement, array, plan);
+    EXPECT_EQ(out.recovery.faults_injected, 0);
+    EXPECT_TRUE(out.recovery.attempts.empty());
+    EXPECT_EQ(out.recovery.recovery_wall_s, 0.0);
+  }
+
+  // Two recovery cycles: the report's wall time is exactly the attempts'
+  // own, not the whole run's (simulation included).
+  FaultInjectionPlan plan;
+  plan.faults.push_back(PlannedFault{Point{12, 12}, 12.0, -1});
+  plan.faults.push_back(PlannedFault{Point{3, 12}, 20.0, -1});
+  const auto out =
+      engine.run(setup.graph, setup.schedule, setup.placement, array, plan);
+  ASSERT_GE(out.recovery.attempts.size(), 2u);
+  double attempts_wall = 0.0;
+  for (const RecoveryAttempt& attempt : out.recovery.attempts) {
+    attempts_wall += attempt.wall_s;
+  }
+  EXPECT_EQ(out.recovery.recovery_wall_s, attempts_wall);
+}
+
 TEST(OnlineRecoveryTest, SampledPlansAreSortedAndInBounds) {
   Rng rng(11);
   const Rect array{0, 0, 16, 16};

@@ -122,41 +122,6 @@ TEST(RngTest, SuccessiveSplitsAndParentShareNoDraws) {
   EXPECT_EQ(collisions, 0);
 }
 
-TEST(RngTest, SplitNIsOrderIndependent) {
-  // split_n(i) derives from the parent's seed alone — no stream draws —
-  // so replica i's rng does not depend on how many splits happened first
-  // or the order they were requested in.
-  Rng a(99);
-  Rng b(99);
-  (void)b.next();  // advance b's stream; split_n must not care
-  (void)b.split();
-  const Rng a2 = a.split_n(2);
-  const Rng b2 = b.split_n(2);
-  EXPECT_EQ(a2.seed(), b2.seed());
-  const Rng a7 = a.split_n(7);
-  EXPECT_EQ(a7.seed(), a.split_n(7).seed());  // idempotent, const
-  EXPECT_NE(a2.seed(), a7.seed());
-}
-
-TEST(RngTest, SplitNChildrenAreMutuallyIndependent) {
-  Rng parent(0x5EEDULL);
-  std::set<std::uint64_t> seen;
-  long long collisions = 0;
-  for (std::uint64_t i = 0; i < 8; ++i) {
-    Rng child = parent.split_n(i);
-    for (int d = 0; d < 20000; ++d) {
-      if (!seen.insert(child.next()).second) ++collisions;
-    }
-  }
-  EXPECT_EQ(collisions, 0);
-  // And the children are distinct from the (unadvanced) parent's stream.
-  Rng p(0x5EEDULL);
-  for (int d = 0; d < 20000; ++d) {
-    if (!seen.insert(p.next()).second) ++collisions;
-  }
-  EXPECT_EQ(collisions, 0);
-}
-
 TEST(SplitMix64Test, KnownFirstOutputs) {
   // Reference values from the SplitMix64 reference implementation with
   // seed 0: first three outputs.

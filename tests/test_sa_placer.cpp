@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "assay/assay_library.h"
 #include "assay/synthesis.h"
 #include "core/greedy_placer.h"
+#include "oracles/copy_annealer.h"
 
 namespace dmfb {
 namespace {
@@ -125,135 +128,62 @@ TEST(SaPlacerTest, PaperDefaultsPreserved) {
   EXPECT_DOUBLE_EQ(options.weights.beta, 0.0);
 }
 
-TEST(SaPlacerTest, FusedEngineProducesFeasiblePlacement) {
-  const Schedule schedule = pcr_schedule();
-  SaPlacerOptions options = fast_options();
-  options.engine = AnnealingEngine::kFused;
-  const auto outcome = place_simulated_annealing(schedule, options);
-  EXPECT_TRUE(outcome.placement.feasible());
-  EXPECT_EQ(outcome.cost.overlap_cells, 0);
-  EXPECT_GE(outcome.cost.area_cells, schedule.peak_concurrent_cells());
-}
-
-TEST(SaPlacerTest, FusedEngineDeterministicForSeed) {
-  const Schedule schedule = pcr_schedule();
-  SaPlacerOptions options = fast_options();
-  options.engine = AnnealingEngine::kFused;
-  options.seed = 77;
-  const auto a = place_simulated_annealing(schedule, options);
-  const auto b = place_simulated_annealing(schedule, options);
-  EXPECT_EQ(a.stats.proposals, b.stats.proposals);
-  EXPECT_EQ(a.stats.accepted, b.stats.accepted);
-  EXPECT_DOUBLE_EQ(a.cost.value, b.cost.value);
-  for (int i = 0; i < a.placement.module_count(); ++i) {
-    EXPECT_EQ(a.placement.module(i).anchor, b.placement.module(i).anchor);
-    EXPECT_EQ(a.placement.module(i).rotated, b.placement.module(i).rotated);
-  }
-}
-
 TEST(SaPlacerTest, EnginesRecordMoveKindTallies) {
   const Schedule schedule = pcr_schedule();
-  SaPlacerOptions options = fast_options();
-  for (const AnnealingEngine engine :
-       {AnnealingEngine::kDelta, AnnealingEngine::kCopy,
-        AnnealingEngine::kFused}) {
-    options.engine = engine;
-    const auto outcome = place_simulated_annealing(schedule, options);
-    long long proposals = 0;
-    long long accepted = 0;
-    for (int k = 0; k < AnnealingStats::kMoveKindSlots; ++k) {
-      proposals += outcome.stats.proposals_by_kind[k];
-      accepted += outcome.stats.accepted_by_kind[k];
-    }
-    EXPECT_EQ(proposals, outcome.stats.proposals) << to_string(engine);
-    if (engine == AnnealingEngine::kCopy) {
-      // The copying engine's accept decision is invisible to the placer;
-      // it records proposal kinds only.
-      EXPECT_EQ(accepted, 0);
-    } else {
-      EXPECT_EQ(accepted, outcome.stats.accepted) << to_string(engine);
-    }
-  }
-}
-
-TEST(SaPlacerTest, EngineTextRoundTrip) {
-  for (const AnnealingEngine engine :
-       {AnnealingEngine::kDelta, AnnealingEngine::kCopy,
-        AnnealingEngine::kFused, AnnealingEngine::kBatched}) {
-    EXPECT_EQ(from_string<AnnealingEngine>(to_string(engine)), engine);
-  }
-  EXPECT_THROW(from_string<AnnealingEngine>("warp"), std::invalid_argument);
-}
-
-TEST(SaPlacerTest, BatchedLookaheadOneIsBitIdenticalToFused) {
-  // The strong stream pin: at lookahead 1 every batch holds exactly one
-  // move, drawn and priced against the committed state like kFused's
-  // fused proposal — the whole trajectory must match bit for bit.
-  const Schedule schedule = pcr_schedule();
-  SaPlacerOptions options = fast_options();
-  options.seed = 77;
-  options.engine = AnnealingEngine::kFused;
-  const auto fused = place_simulated_annealing(schedule, options);
-  options.engine = AnnealingEngine::kBatched;
-  options.speculation_lookahead = 1;
-  const auto batched = place_simulated_annealing(schedule, options);
-  EXPECT_EQ(fused.stats.proposals, batched.stats.proposals);
-  EXPECT_EQ(fused.stats.accepted, batched.stats.accepted);
-  EXPECT_EQ(fused.stats.uphill_accepted, batched.stats.uphill_accepted);
-  EXPECT_EQ(fused.cost.value, batched.cost.value);
-  for (int i = 0; i < fused.placement.module_count(); ++i) {
-    EXPECT_EQ(fused.placement.module(i).anchor,
-              batched.placement.module(i).anchor);
-    EXPECT_EQ(fused.placement.module(i).rotated,
-              batched.placement.module(i).rotated);
-  }
-  // Every speculation is served at lookahead 1: nothing can invalidate a
-  // one-entry batch between fill and decision.
-  EXPECT_GT(batched.stats.speculated, 0);
-  EXPECT_EQ(batched.stats.speculated, batched.stats.speculation_hits);
-}
-
-TEST(SaPlacerTest, BatchedEngineDeterministicAndFeasible) {
-  const Schedule schedule = pcr_schedule();
-  SaPlacerOptions options = fast_options();
-  options.engine = AnnealingEngine::kBatched;
-  options.speculation_lookahead = 8;
-  options.seed = 99;
-  const auto a = place_simulated_annealing(schedule, options);
-  const auto b = place_simulated_annealing(schedule, options);
-  EXPECT_TRUE(a.placement.feasible());
-  EXPECT_EQ(a.cost.overlap_cells, 0);
-  EXPECT_GE(a.cost.area_cells, schedule.peak_concurrent_cells());
-  EXPECT_EQ(a.stats.proposals, b.stats.proposals);
-  EXPECT_EQ(a.stats.accepted, b.stats.accepted);
-  EXPECT_DOUBLE_EQ(a.cost.value, b.cost.value);
-  for (int i = 0; i < a.placement.module_count(); ++i) {
-    EXPECT_EQ(a.placement.module(i).anchor, b.placement.module(i).anchor);
-    EXPECT_EQ(a.placement.module(i).rotated, b.placement.module(i).rotated);
-  }
-}
-
-TEST(SaPlacerTest, BatchedSpeculationCountersAreCoherent) {
-  const Schedule schedule = pcr_schedule();
-  SaPlacerOptions options = fast_options();
-  options.engine = AnnealingEngine::kBatched;
-  options.speculation_lookahead = 8;
-  const auto outcome = place_simulated_annealing(schedule, options);
-  // The lazy (beta = 0) path pre-prices every drawn move...
-  EXPECT_EQ(outcome.stats.speculated, outcome.stats.proposals);
-  // ...most prices survive to their decision (acceptance is the rare
-  // event), but some are invalidated by intra-batch acceptances.
-  EXPECT_GT(outcome.stats.speculation_hits, 0);
-  EXPECT_LE(outcome.stats.speculation_hits, outcome.stats.speculated);
-  // The batched engine records kind tallies like the other incrementals.
-  long long proposals = 0;
-  long long accepted = 0;
+  const SaPlacerOptions options = fast_options();
+  const auto delta = place_simulated_annealing(schedule, options);
+  const auto copy = oracle::place_copy(schedule, options);
+  long long delta_proposals = 0;
+  long long delta_accepted = 0;
+  long long copy_proposals = 0;
+  long long copy_accepted = 0;
   for (int k = 0; k < AnnealingStats::kMoveKindSlots; ++k) {
-    proposals += outcome.stats.proposals_by_kind[k];
-    accepted += outcome.stats.accepted_by_kind[k];
+    delta_proposals += delta.stats.proposals_by_kind[k];
+    delta_accepted += delta.stats.accepted_by_kind[k];
+    copy_proposals += copy.stats.proposals_by_kind[k];
+    copy_accepted += copy.stats.accepted_by_kind[k];
+    // Identical trajectories draw identical move kinds.
+    EXPECT_EQ(delta.stats.proposals_by_kind[k],
+              copy.stats.proposals_by_kind[k])
+        << "kind " << k;
   }
-  EXPECT_EQ(proposals, outcome.stats.proposals);
-  EXPECT_EQ(accepted, outcome.stats.accepted);
+  EXPECT_EQ(delta_proposals, delta.stats.proposals);
+  EXPECT_EQ(delta_accepted, delta.stats.accepted);
+  EXPECT_EQ(copy_proposals, copy.stats.proposals);
+  // The copying oracle's accept decision is invisible to the placer; it
+  // records proposal kinds only.
+  EXPECT_EQ(copy_accepted, 0);
+}
+
+TEST(SaPlacerTest, UnterminatingSchedulesAreRejected) {
+  // Each of these would cool forever (or never reach the stop
+  // temperature): anneal_from refuses them up front.
+  const Placement start = place_greedy(pcr_schedule(), 24, 24);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto with = [](auto mutate) {
+    SaPlacerOptions options = fast_options();
+    mutate(options.schedule);
+    return options;
+  };
+  for (const SaPlacerOptions& options : {
+           with([](AnnealingSchedule& s) { s.cooling_rate = 1.0; }),
+           with([](AnnealingSchedule& s) { s.cooling_rate = 1.5; }),
+           with([](AnnealingSchedule& s) { s.cooling_rate = 0.0; }),
+           with([&](AnnealingSchedule& s) { s.cooling_rate = nan; }),
+           with([](AnnealingSchedule& s) { s.min_temperature = -1.0; }),
+           with([](AnnealingSchedule& s) { s.min_temperature = 0.0; }),
+           with([&](AnnealingSchedule& s) { s.min_temperature = inf; }),
+           with([&](AnnealingSchedule& s) { s.min_temperature = nan; }),
+           with([&](AnnealingSchedule& s) { s.initial_temperature = inf; }),
+           with([&](AnnealingSchedule& s) { s.initial_temperature = nan; }),
+       }) {
+    EXPECT_THROW(anneal_from(start, options), std::invalid_argument);
+  }
+  // The boundary cases that do terminate still run.
+  SaPlacerOptions cold = fast_options();
+  cold.schedule.initial_temperature = 0.0;  // no temperature step at all
+  EXPECT_TRUE(anneal_from(start, cold).placement.feasible());
 }
 
 }  // namespace

@@ -419,6 +419,62 @@ TEST(ServerTest, ServeAnswersRequestsControlLinesAndErrors) {
   EXPECT_TRUE(saw_stats);
 }
 
+TEST(ServerTest, UnterminatingOrOutOfRangeOptionsAnswerNotOk) {
+  // Alpha 1.0 and a negative stop temperature never cool to a stop, 1e30
+  // and 2.5 are no int, and "engine" is no option: each request must
+  // answer ok:false (and promptly — the first two would otherwise spin a
+  // worker forever).
+  const auto request_with = [](const std::string& id, const char* key,
+                               json::Value value, bool in_annealing) {
+    json::Value request;
+    request.set("id", id);
+    request.set("assay", assay_to_string(pcr_mixing_assay()));
+    json::Value options;
+    if (in_annealing) {
+      json::Value annealing;
+      annealing.set(key, std::move(value));
+      options.set("annealing", std::move(annealing));
+    } else {
+      options.set(key, std::move(value));
+    }
+    request.set("options", std::move(options));
+    return request.dump();
+  };
+  const std::vector<std::string> input = {
+      request_with("alpha", "alpha", json::Value(1.0), true),
+      request_with("min-t", "min_temperature", json::Value(-1.0), true),
+      request_with("na", "iterations_per_module", json::Value(1e30), true),
+      request_with("na-frac", "iterations_per_module", json::Value(2.5),
+                   true),
+      request_with("engine", "engine", json::Value(std::string("delta")),
+                   false),
+  };
+
+  ServerOptions options;
+  options.workers = 2;
+  CompileServer server(options);
+  std::size_t cursor = 0;
+  std::mutex output_mutex;
+  std::vector<std::string> output;
+  server.serve(
+      [&](std::string& line) {
+        if (cursor >= input.size()) return false;
+        line = input[cursor++];
+        return true;
+      },
+      [&](const std::string& line) {
+        const std::lock_guard<std::mutex> lock(output_mutex);
+        output.push_back(line);
+      });
+
+  ASSERT_EQ(output.size(), input.size());
+  for (const std::string& line : output) {
+    const json::Value doc = json::Value::parse(line);
+    EXPECT_FALSE(doc.find("ok")->as_bool()) << line;
+    EXPECT_FALSE(doc.find("error")->as_string().empty()) << line;
+  }
+}
+
 // --- options wire round-trip -----------------------------------------
 
 TEST(ServerTest, PipelineOptionsJsonRoundTripsEveryWireField) {
@@ -436,7 +492,6 @@ TEST(ServerTest, PipelineOptionsJsonRoundTripsEveryWireField) {
   options.placer_context.defects = {Point{3, 4}, Point{5, 6}};
   options.placer_context.weights.gamma = 0.02;
   options.placer_context.weights.beta = 0.5;
-  options.placer_context.engine = AnnealingEngine::kCopy;
   options.placer_context.annealing.initial_temperature = 1000.0;
   options.placer_context.annealing.cooling_rate = 0.8;
   options.placer_context.annealing.iterations_per_module = 60;
@@ -454,11 +509,12 @@ TEST(ServerTest, PipelineOptionsJsonRoundTripsEveryWireField) {
   options.binding_policy = BindingPolicy::kSmallest;
 
   PipelineOptions parsed;
-  parse_pipeline_options(pipeline_options_to_json(options), parsed);
+  const json::Value wire = pipeline_options_to_json(options);
+  EXPECT_EQ(wire.find("engine"), nullptr);  // one annealing engine, no key
+  parse_pipeline_options(wire, parsed);
   EXPECT_EQ(options_fingerprint(parsed), options_fingerprint(options));
   EXPECT_EQ(parsed.seed, options.seed);
   EXPECT_EQ(parsed.placer, options.placer);
-  EXPECT_EQ(parsed.placer_context.engine, options.placer_context.engine);
   EXPECT_EQ(parsed.placer_context.defects.size(), 2u);
   EXPECT_EQ(parsed.binding_policy, options.binding_policy);
   ASSERT_EQ(parsed.fault_plan.faults.size(), 2u);
