@@ -11,7 +11,7 @@ using namespace dmfb;
 int main() {
   bench::banner("Ablation A3 — cooling rate alpha");
 
-  const auto synth = bench::synthesized_pcr();
+  const Schedule schedule = bench::case_schedule(pcr_mixing_assay());
   const std::uint64_t seeds[] = {1, 2, 3, 4, 5};
 
   TextTable table("Area-only SA vs cooling rate (T0 = 10^4, Na = 150)");
@@ -25,11 +25,10 @@ int main() {
     int steps = 0;
     double wall = 0.0;
     for (const std::uint64_t seed : seeds) {
-      SaPlacerOptions options = bench::paper_sa_options(seed);
-      options.schedule.cooling_rate = alpha;
-      options.schedule.iterations_per_module = 150;
-      const auto outcome =
-          place_simulated_annealing(synth.schedule, options);
+      PlacerContext context = bench::paper_context(seed);
+      context.annealing.cooling_rate = alpha;
+      context.annealing.iterations_per_module = 150;
+      const auto outcome = make_placer("sa")->place(schedule, context);
       total += static_cast<double>(outcome.cost.area_cells);
       best = std::min(best, outcome.cost.area_cells);
       proposals = outcome.stats.proposals;

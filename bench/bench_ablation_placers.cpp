@@ -35,7 +35,7 @@ Schedule small_instance(const Schedule& full) {
 int main() {
   bench::banner("Ablation A6 — every registered placer, side by side");
 
-  const Schedule full = bench::pcr_via_pipeline().schedule;
+  const Schedule full = bench::case_schedule(pcr_mixing_assay());
   const PlacerContext context = bench::paper_context();
 
   // Full PCR: heuristics only (10 modules is beyond exact search).

@@ -16,7 +16,7 @@ using namespace dmfb;
 int main() {
   bench::banner("Ablation A5 — two-stage (SA + LTSA) vs single-stage weighted SA");
 
-  const auto synth = bench::synthesized_pcr();
+  const Schedule schedule = bench::case_schedule(pcr_mixing_assay());
   const double beta = 30.0;
   const std::uint64_t seeds[] = {1, 2, 3};
 
@@ -31,29 +31,28 @@ int main() {
 
   for (const std::uint64_t seed : seeds) {
     {
-      TwoStageOptions options = bench::paper_two_stage_options(beta, seed);
+      PlacerContext context = bench::paper_context(seed);
+      context.two_stage_beta = beta;
       // Match the reduced effort of the single-stage run below.
-      options.stage1.schedule.iterations_per_module = 150;
-      options.ltsa.iterations_per_module = 150;
-      const auto outcome = place_two_stage(synth.schedule, options);
-      const double fti = evaluate_fti(outcome.stage2.placement).fti();
+      context.annealing.iterations_per_module = 150;
+      context.ltsa.iterations_per_module = 150;
+      const auto outcome = make_placer("two-stage")->place(schedule, context);
+      const double fti = evaluate_fti(outcome.placement).fti();
       const double weighted =
-          static_cast<double>(outcome.stage2.cost.area_cells) - beta * fti;
-      const double wall =
-          outcome.stage1.wall_seconds + outcome.stage2.wall_seconds;
+          static_cast<double>(outcome.cost.area_cells) - beta * fti;
+      const double wall = outcome.wall_seconds;  // both stages
       two_stage_total += weighted;
       two_stage_wall += wall;
       table.add_row({"two-stage", std::to_string(seed),
-                     std::to_string(outcome.stage2.cost.area_cells),
+                     std::to_string(outcome.cost.area_cells),
                      format_double(fti, 4), format_double(weighted, 2),
                      format_double(wall, 2)});
     }
     {
-      SaPlacerOptions options = bench::paper_sa_options(seed);
-      options.schedule.iterations_per_module = 150;
-      options.weights.beta = beta;  // FTI inside the hot loop
-      const auto outcome =
-          place_simulated_annealing(synth.schedule, options);
+      PlacerContext context = bench::paper_context(seed);
+      context.annealing.iterations_per_module = 150;
+      context.weights.beta = beta;  // FTI inside the hot loop
+      const auto outcome = make_placer("sa")->place(schedule, context);
       const double fti = evaluate_fti(outcome.placement).fti();
       const double weighted =
           static_cast<double>(outcome.cost.area_cells) - beta * fti;

@@ -12,7 +12,7 @@ using namespace dmfb;
 int main() {
   bench::banner("Ablation A2 — controlling window on/off");
 
-  const auto synth = bench::synthesized_pcr();
+  const Schedule schedule = bench::case_schedule(pcr_mixing_assay());
   const std::uint64_t seeds[] = {1, 2, 3, 4, 5, 6, 7, 8};
 
   TextTable table("Area-only SA with and without the controlling window");
@@ -26,13 +26,12 @@ int main() {
     double accept = 0.0;
     double uphill = 0.0;
     for (const std::uint64_t seed : seeds) {
-      SaPlacerOptions options = bench::paper_sa_options(seed);
-      options.schedule.initial_temperature = 2000.0;
-      options.schedule.cooling_rate = 0.85;
-      options.schedule.iterations_per_module = 150;
-      options.moves.use_controlling_window = use_window;
-      const auto outcome =
-          place_simulated_annealing(synth.schedule, options);
+      PlacerContext context = bench::paper_context(seed);
+      context.annealing.initial_temperature = 2000.0;
+      context.annealing.cooling_rate = 0.85;
+      context.annealing.iterations_per_module = 150;
+      context.moves.use_controlling_window = use_window;
+      const auto outcome = make_placer("sa")->place(schedule, context);
       total += static_cast<double>(outcome.cost.area_cells);
       best = std::min(best, outcome.cost.area_cells);
       worst = std::max(worst, outcome.cost.area_cells);

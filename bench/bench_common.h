@@ -11,10 +11,8 @@
 
 #include "assay/assay_library.h"
 #include "assay/pipeline.h"
-#include "assay/synthesis.h"
+#include "assay/scheduler.h"
 #include "core/placer.h"
-#include "core/sa_placer.h"
-#include "core/two_stage_placer.h"
 #include "util/rng.h"
 
 namespace dmfb::bench {
@@ -163,55 +161,18 @@ inline void emit_closed_loop_json_line(const std::string& scenario, int round,
 }
 
 /// Paper-parameter placement context (§4d): T0 = 10^4, alpha = 0.9,
-/// Na = 400, area-only objective — the new-API counterpart of
-/// paper_sa_options() below.
+/// Na = 400, area-only objective; "two-stage" refines at beta = 30.
 inline PlacerContext paper_context(std::uint64_t seed = kBenchSeed) {
   PlacerContext context;
   context.seed = seed;
   return context;  // defaults are the paper's
 }
 
-/// The paper's PCR case study synthesized through the pipeline (Table 1
-/// binding, at most two concurrent mixers, storage inserted), stopping
-/// after scheduling — benches drive the placers themselves.
-inline PipelineResult pcr_via_pipeline(std::uint64_t seed = kBenchSeed) {
-  PipelineOptions options;
-  options.place = false;
-  options.seed = seed;
-  return SynthesisPipeline(options).run(pcr_mixing_assay());
-}
-
-/// The paper's PCR case study, synthesized: Table 1 binding, at most two
-/// concurrent mixers, storage inserted for waiting droplets. Legacy-API
-/// helper for the unmigrated benches; new benches use pcr_via_pipeline().
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-inline SynthesisResult synthesized_pcr() {
-  const AssayCase assay = pcr_mixing_assay();
-  return synthesize_with_binding(assay.graph, assay.binding,
-                                 assay.scheduler_options);
-}
-#pragma GCC diagnostic pop
-
-/// Paper-parameter annealing options (§4d): T0 = 10^4, alpha = 0.9,
-/// Na = 400, area-only objective.
-inline SaPlacerOptions paper_sa_options(std::uint64_t seed = kBenchSeed) {
-  SaPlacerOptions options;
-  options.seed = seed;
-  return options;  // defaults are the paper's
-}
-
-/// Two-stage options with the paper's stage-1 parameters and an LTSA
-/// refinement stage at the given fault-tolerance weight.
-inline TwoStageOptions paper_two_stage_options(double beta,
-                                               std::uint64_t seed = kBenchSeed) {
-  TwoStageOptions options;
-  options.beta = beta;
-  options.stage1 = paper_sa_options(seed);
-  // Same stage-2 derivation as the registry's "two-stage" adapter, so the
-  // legacy benches and the pipeline reproduce each other from one seed.
-  options.stage2_seed = SplitMix64(seed ^ 0x5a5a5a5aULL).next();
-  return options;
+/// The schedule of an assay case under its own binding and scheduler
+/// options (for the PCR case: Table 1 binding, at most two concurrent
+/// mixers, storage inserted for waiting droplets).
+inline Schedule case_schedule(const AssayCase& assay) {
+  return list_schedule(assay.graph, assay.binding, assay.scheduler_options);
 }
 
 /// Standard bench banner.

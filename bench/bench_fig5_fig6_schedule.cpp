@@ -32,17 +32,17 @@ int main() {
             << ", longest path: " << assay.graph.longest_path_length()
             << " ops\n\n";
 
-  const auto synth = synthesize_with_binding(assay.graph, assay.binding,
-                                             assay.scheduler_options);
+  const Schedule schedule =
+      list_schedule(assay.graph, assay.binding, assay.scheduler_options);
   std::cout << "Schedule (Fig. 6), max 2 concurrent mixers:\n"
-            << render_gantt(synth.schedule)
-            << "\nmakespan: " << synth.makespan_s << " s"
-            << "\npeak concurrent footprint: " << synth.peak_concurrent_cells
-            << " cells\n";
+            << render_gantt(schedule)
+            << "\nmakespan: " << schedule.makespan_s() << " s"
+            << "\npeak concurrent footprint: "
+            << schedule.peak_concurrent_cells() << " cells\n";
 
   TextTable table("Module usage");
   table.set_header({"Module", "Type", "Cells", "Start", "End"});
-  for (const auto& m : synth.schedule.modules()) {
+  for (const auto& m : schedule.modules()) {
     table.add_row({m.label, m.spec.name,
                    std::to_string(m.spec.footprint_cells()),
                    format_double(m.start_s, 1) + "s",
@@ -53,7 +53,7 @@ int main() {
   // SVG rendition of Fig. 6.
   std::vector<SvgGanttBar> bars;
   std::size_t color = 0;
-  for (const auto& m : synth.schedule.modules()) {
+  for (const auto& m : schedule.modules()) {
     bars.push_back(SvgGanttBar{m.label, m.start_s, m.end_s,
                                palette_color(color++)});
   }
@@ -61,7 +61,7 @@ int main() {
   svg << render_svg_gantt(bars);
   std::cout << "\nwrote fig6_schedule.svg\n";
 
-  const auto violations = synth.schedule.validate_against(assay.graph);
+  const auto violations = schedule.validate_against(assay.graph);
   std::cout << "precedence check: "
             << (violations.empty() ? "OK" : violations.front()) << '\n';
   return violations.empty() ? 0 : 1;

@@ -15,7 +15,7 @@ using namespace dmfb;
 int main() {
   bench::banner("Fig. 7 — area-only SA placement vs greedy baseline");
 
-  const Schedule schedule = bench::pcr_via_pipeline().schedule;
+  const Schedule schedule = bench::case_schedule(pcr_mixing_assay());
   const PlacerContext context = bench::paper_context();
 
   // Baseline (§6.1): modules sorted by decreasing area, bottom-left.

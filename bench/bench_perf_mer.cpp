@@ -56,8 +56,8 @@ void BM_PrefixSumExistence(benchmark::State& state) {
 BENCHMARK(BM_PrefixSumExistence)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 
 void BM_FtiEvaluationPcr(benchmark::State& state) {
-  const auto synth = bench::synthesized_pcr();
-  const Placement placement = place_greedy(synth.schedule, 24, 24);
+  const Placement placement =
+      place_greedy(bench::case_schedule(pcr_mixing_assay()), 24, 24);
   for (auto _ : state) {
     benchmark::DoNotOptimize(evaluate_fti(placement));
   }
@@ -68,8 +68,8 @@ BENCHMARK(BM_FtiEvaluationPcr);
 
 void BM_FtiReferencePcr(benchmark::State& state) {
   // The MER-per-cell reference — the paper's “1.7 s” style evaluation.
-  const auto synth = bench::synthesized_pcr();
-  const Placement placement = place_greedy(synth.schedule, 24, 24);
+  const Placement placement =
+      place_greedy(bench::case_schedule(pcr_mixing_assay()), 24, 24);
   const Rect region = placement.bounding_box();
   for (auto _ : state) {
     long long covered = 0;

@@ -36,7 +36,7 @@ namespace {
 using namespace dmfb;
 
 const Schedule& pcr_schedule() {
-  static const Schedule schedule = bench::pcr_via_pipeline().schedule;
+  static const Schedule schedule = bench::case_schedule(pcr_mixing_assay());
   return schedule;
 }
 
@@ -51,9 +51,9 @@ Placement greedy_pcr_placement() {
 /// One comparison cell annealed from `initial`: the delta engine, or
 /// (`copy`) its copying oracle.
 PlacementOutcome run_engine(bool copy, const Placement& initial,
-                            const SaPlacerOptions& options) {
-  return copy ? oracle::anneal_copy(initial, options)
-              : anneal_from(initial, options);
+                            const PlacerContext& context) {
+  return copy ? oracle::anneal_copy(initial, context)
+              : anneal_from(initial, context);
 }
 
 bool same_placement(const Placement& a, const Placement& b) {
@@ -73,31 +73,31 @@ bool same_placement(const Placement& a, const Placement& b) {
 /// are interleaved and each side reports its best proposals/sec of
 /// `rounds` runs, so CPU frequency drift biases neither.
 bool compare_engines(const char* label, const Placement& initial,
-                     const SaPlacerOptions& options, int rounds) {
-  PlacementOutcome copy = run_engine(/*copy=*/true, initial, options);
-  PlacementOutcome delta = run_engine(/*copy=*/false, initial, options);
+                     const PlacerContext& context, int rounds) {
+  PlacementOutcome copy = run_engine(/*copy=*/true, initial, context);
+  PlacementOutcome delta = run_engine(/*copy=*/false, initial, context);
   for (int round = 1; round < rounds; ++round) {
-    PlacementOutcome c = run_engine(/*copy=*/true, initial, options);
+    PlacementOutcome c = run_engine(/*copy=*/true, initial, context);
     if (c.stats.proposals_per_second > copy.stats.proposals_per_second) {
       copy = std::move(c);
     }
-    PlacementOutcome d = run_engine(/*copy=*/false, initial, options);
+    PlacementOutcome d = run_engine(/*copy=*/false, initial, context);
     if (d.stats.proposals_per_second > delta.stats.proposals_per_second) {
       delta = std::move(d);
     }
   }
   const bool identical = same_placement(copy.placement, delta.placement);
 
-  bench::emit_engine_json_line("perf_sa", "copy", options.weights.beta,
+  bench::emit_engine_json_line("perf_sa", "copy", context.weights.beta,
                                copy.cost.value,
                                copy.stats.proposals_per_second,
                                copy.stats.wall_seconds, identical, copy.stats,
-                               options.seed);
-  bench::emit_engine_json_line("perf_sa", "delta", options.weights.beta,
+                               context.seed);
+  bench::emit_engine_json_line("perf_sa", "delta", context.weights.beta,
                                delta.cost.value,
                                delta.stats.proposals_per_second,
                                delta.stats.wall_seconds, identical,
-                               delta.stats, options.seed);
+                               delta.stats, context.seed);
   const double speedup =
       copy.stats.proposals_per_second > 0.0
           ? delta.stats.proposals_per_second / copy.stats.proposals_per_second
@@ -133,25 +133,22 @@ bool run_comparison(bool smoke) {
   const int rounds = smoke ? 1 : 3;
 
   // Fig. 7: area-only annealing at the paper's parameters.
-  SaPlacerOptions stage1 = bench::paper_sa_options();
+  PlacerContext stage1 = bench::paper_context();
   if (smoke) {
-    stage1.schedule.initial_temperature = 1000.0;
-    stage1.schedule.cooling_rate = 0.8;
-    stage1.schedule.iterations_per_module = 25;
+    stage1.annealing.initial_temperature = 1000.0;
+    stage1.annealing.cooling_rate = 0.8;
+    stage1.annealing.iterations_per_module = 25;
   }
   bool ok = compare_engines(smoke ? "fig7 (smoke)" : "fig7", initial, stage1,
                             rounds);
 
   // Two-stage LTSA: beta > 0 exercises the incremental FTI coverage
   // state. Single displacements only, as in §6.2.
-  SaPlacerOptions ltsa = stage1;
-  ltsa.schedule = AnnealingSchedule{/*initial_temperature=*/100.0,
-                                    /*cooling_rate=*/0.9,
-                                    /*iterations_per_module=*/400,
-                                    /*min_temperature=*/0.05};
+  PlacerContext ltsa = stage1;
+  ltsa.annealing = stage1.ltsa;  // the "two-stage" placer's LTSA schedule
   if (smoke) {
-    ltsa.schedule.cooling_rate = 0.8;
-    ltsa.schedule.iterations_per_module = 25;
+    ltsa.annealing.cooling_rate = 0.8;
+    ltsa.annealing.iterations_per_module = 25;
   }
   ltsa.weights.beta = 30.0;
   ltsa.moves.single_move_probability = 1.0;
@@ -172,31 +169,28 @@ bool sweep_point(const Schedule& schedule, int canvas, double beta,
                  const AnnealingSchedule& annealing) {
   const int modules = static_cast<int>(schedule.modules().size());
 
-  SaPlacerOptions options;
-  options.canvas_width = canvas;
-  options.canvas_height = canvas;
-  options.schedule = annealing;
-  options.weights.beta = beta;
-  options.seed = bench::kBenchSeed + static_cast<std::uint64_t>(modules);
+  PlacerContext context;
+  context.canvas_width = canvas;
+  context.canvas_height = canvas;
+  context.annealing = annealing;
+  context.weights.beta = beta;
+  context.seed = bench::kBenchSeed + static_cast<std::uint64_t>(modules);
 
-  PlacerContext greedy_context;
-  greedy_context.canvas_width = canvas;
-  greedy_context.canvas_height = canvas;
   const Placement initial =
-      make_placer("greedy")->place(schedule, greedy_context).placement;
+      make_placer("greedy")->place(schedule, context).placement;
 
-  const PlacementOutcome copy = run_engine(/*copy=*/true, initial, options);
-  const PlacementOutcome delta = run_engine(/*copy=*/false, initial, options);
+  const PlacementOutcome copy = run_engine(/*copy=*/true, initial, context);
+  const PlacementOutcome delta = run_engine(/*copy=*/false, initial, context);
   const bool identical = same_placement(copy.placement, delta.placement);
 
   bench::emit_scaling_json_line(modules, beta, "copy",
                                 copy.stats.proposals_per_second,
                                 copy.stats.wall_seconds, identical,
-                                options.seed);
+                                context.seed);
   bench::emit_scaling_json_line(modules, beta, "delta",
                                 delta.stats.proposals_per_second,
                                 delta.stats.wall_seconds, identical,
-                                options.seed);
+                                context.seed);
   const double ratio =
       copy.stats.proposals_per_second > 0.0
           ? delta.stats.proposals_per_second / copy.stats.proposals_per_second
@@ -313,7 +307,7 @@ void BM_AreaOnlyPlacementEndToEnd(benchmark::State& state) {
   for (auto _ : state) {
     context.seed = seed++;
     const auto outcome =
-        copy ? oracle::place_copy(pcr_schedule(), sa_options_from(context))
+        copy ? oracle::place_copy(pcr_schedule(), context)
              : placer->place(pcr_schedule(), context);
     benchmark::DoNotOptimize(outcome.cost.area_cells);
   }

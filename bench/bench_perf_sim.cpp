@@ -1,6 +1,7 @@
 // bench_perf_sim — step-throughput comparison of the event-queue
 // simulation engine (sim/sim_engine.h) against the pinned reference
-// implementation, plus microbenchmarks of the engine's hot pieces.
+// implementation (the test oracle in tests/oracles/reference_simulator.h),
+// plus microbenchmarks of the engine's hot pieces.
 //
 // Two headline scenarios, simulated on a fabricated 384x384 array (the
 // service's situation: the chip is far larger than the assay's bounding
@@ -36,6 +37,7 @@
 #include "bench_common.h"
 #include "assay/random_assay.h"
 #include "core/greedy_placer.h"
+#include "oracles/reference_simulator.h"
 #include "sim/sim_engine.h"
 
 namespace {
@@ -53,10 +55,9 @@ struct Scenario {
 
 Scenario make_pcr(int chip_size, bool headline, const std::string& name) {
   const AssayCase assay = pcr_mixing_assay();
-  auto synth = synthesize_with_binding(assay.graph, assay.binding,
-                                       assay.scheduler_options);
-  Placement placement = place_greedy(synth.schedule, 16, 16);
-  return Scenario{name, assay.graph, std::move(synth.schedule),
+  Schedule schedule = bench::case_schedule(assay);
+  Placement placement = place_greedy(schedule, 16, 16);
+  return Scenario{name, assay.graph, std::move(schedule),
                   std::move(placement), chip_size, headline};
 }
 
@@ -68,10 +69,9 @@ Scenario make_random200(int chip_size, bool headline,
   params.max_layer_width = 6;
   params.max_concurrent_modules = 6;
   const AssayCase assay = random_assay(params, lib, bench::kBenchSeed);
-  auto synth = synthesize_with_binding(assay.graph, assay.binding,
-                                       assay.scheduler_options);
-  Placement placement = place_greedy(synth.schedule, 32, 32);
-  return Scenario{name, assay.graph, std::move(synth.schedule),
+  Schedule schedule = bench::case_schedule(assay);
+  Placement placement = place_greedy(schedule, 32, 32);
+  return Scenario{name, assay.graph, std::move(schedule),
                   std::move(placement), chip_size, headline};
 }
 
@@ -105,21 +105,21 @@ struct Measured {
   double steps_per_second = 0.0;
 };
 
-/// Repeats the scenario `runs` times on one engine and reports droplet
+/// Repeats the scenario `runs` times on the event engine, or on the
+/// reference oracle when `reference` is set, and reports droplet
 /// steps (route cells) per wall second. The event engine instance is
 /// reused across runs, as a batch driver would hold it, so its pooled
 /// scratch reaches steady state; one untimed warmup run per engine
 /// takes the cold first iteration (grid allocation, page faults) out of
 /// the window for both.
-Measured measure(const Scenario& scenario, SimEngineKind kind, int runs) {
+Measured measure(const Scenario& scenario, bool reference, int runs) {
   const Chip chip(scenario.chip_size, scenario.chip_size);
   SimOptions options;
-  options.engine = kind;
   // Batch/service configuration for both engines: drivers that sweep
   // chips read the structured result fields, not the event log.
   options.record_events = false;
   Measured measured;
-  if (kind == SimEngineKind::kEvent) {
+  if (!reference) {
     EventSimEngine engine(options);
     engine.run(scenario.graph, scenario.schedule, scenario.placement, chip);
     const auto start = std::chrono::steady_clock::now();
@@ -131,12 +131,13 @@ Measured measure(const Scenario& scenario, SimEngineKind kind, int runs) {
     }
     measured.wall_seconds = seconds_since(start);
   } else {
-    const Simulator simulator(options);
-    simulator.run(scenario.graph, scenario.schedule, scenario.placement, chip);
+    oracle::run_reference(scenario.graph, scenario.schedule,
+                          scenario.placement, chip, options);
     const auto start = std::chrono::steady_clock::now();
     for (int r = 0; r < runs; ++r) {
-      const auto result = simulator.run(scenario.graph, scenario.schedule,
-                                        scenario.placement, chip);
+      const auto result =
+          oracle::run_reference(scenario.graph, scenario.schedule,
+                                scenario.placement, chip, options);
       measured.steps += result.route_cells;
       benchmark::DoNotOptimize(result.success);
     }
@@ -167,19 +168,13 @@ bool run_comparison(bool smoke) {
     bool identical = true;
     SimulationResult event_result;
     for (const bool record : {true, false}) {
-      SimOptions event_options;
-      event_options.engine = SimEngineKind::kEvent;
-      event_options.record_events = record;
-      SimOptions reference_options;
-      reference_options.engine = SimEngineKind::kReference;
-      reference_options.record_events = record;
-      event_result = Simulator(event_options)
-                         .run(scenario.graph, scenario.schedule,
-                              scenario.placement, chip);
-      const auto reference_result =
-          Simulator(reference_options)
-              .run(scenario.graph, scenario.schedule, scenario.placement,
-                   chip);
+      SimOptions options;
+      options.record_events = record;
+      event_result = Simulator(options).run(scenario.graph, scenario.schedule,
+                                            scenario.placement, chip);
+      const auto reference_result = oracle::run_reference(
+          scenario.graph, scenario.schedule, scenario.placement, chip,
+          options);
       if (!identical_results(event_result, reference_result)) {
         std::cerr << "FAIL: " << scenario.name << " (record_events="
                   << (record ? "true" : "false")
@@ -206,9 +201,8 @@ bool run_comparison(bool smoke) {
     const int runs = scenario.schedule.module_count() > 100 ? (smoke ? 5 : 40)
                                                             : (smoke ? 50
                                                                      : 200);
-    const Measured reference = measure(scenario, SimEngineKind::kReference,
-                                       runs);
-    const Measured event = measure(scenario, SimEngineKind::kEvent, runs);
+    const Measured reference = measure(scenario, /*reference=*/true, runs);
+    const Measured event = measure(scenario, /*reference=*/false, runs);
     const double speedup =
         reference.steps_per_second > 0.0
             ? event.steps_per_second / reference.steps_per_second
@@ -252,12 +246,9 @@ BENCHMARK(BM_EventEnginePcr)->Unit(benchmark::kMicrosecond);
 void BM_ReferenceEnginePcr(benchmark::State& state) {
   const Scenario& scenario = pcr_scenario();
   const Chip chip(scenario.chip_size, scenario.chip_size);
-  SimOptions options;
-  options.engine = SimEngineKind::kReference;
-  const Simulator simulator(options);
   for (auto _ : state) {
-    const auto result = simulator.run(scenario.graph, scenario.schedule,
-                                      scenario.placement, chip);
+    const auto result = oracle::run_reference(
+        scenario.graph, scenario.schedule, scenario.placement, chip);
     benchmark::DoNotOptimize(result.route_cells);
   }
 }

@@ -64,19 +64,17 @@ Scenario make_random200() {
   params.max_layer_width = 6;
   params.max_concurrent_modules = 6;
   const AssayCase assay = random_assay(params, lib, bench::kBenchSeed);
-  auto synth = synthesize_with_binding(assay.graph, assay.binding,
-                                       assay.scheduler_options);
-  Placement placement = place_greedy(synth.schedule, 32, 32);
-  return Scenario{assay.graph, std::move(synth.schedule),
+  Schedule schedule = bench::case_schedule(assay);
+  Placement placement = place_greedy(schedule, 32, 32);
+  return Scenario{assay.graph, std::move(schedule),
                   std::move(placement), 32};
 }
 
 Scenario make_pcr() {
   const AssayCase assay = pcr_mixing_assay();
-  auto synth = synthesize_with_binding(assay.graph, assay.binding,
-                                       assay.scheduler_options);
-  Placement placement = place_greedy(synth.schedule, 16, 16);
-  return Scenario{assay.graph, std::move(synth.schedule),
+  Schedule schedule = bench::case_schedule(assay);
+  Placement placement = place_greedy(schedule, 16, 16);
+  return Scenario{assay.graph, std::move(schedule),
                   std::move(placement), 16};
 }
 

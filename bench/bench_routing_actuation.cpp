@@ -20,7 +20,7 @@ int main() {
   bench::banner("Extension — changeover routing + actuation program");
 
   const auto assay = pcr_mixing_assay();
-  const auto synth = bench::pcr_via_pipeline();
+  const Schedule schedule = bench::case_schedule(assay);
   const PlacerContext context = bench::paper_context();
 
   struct Candidate {
@@ -35,11 +35,10 @@ int main() {
     two_stage.two_stage_beta = 30.0;
     candidates.push_back(Candidate{
         "area-only SA", "sa",
-        make_placer("sa")->place(synth.schedule, context).placement, 24});
+        make_placer("sa")->place(schedule, context).placement, 24});
     candidates.push_back(Candidate{
         "two-stage (beta=30)", "two-stage",
-        make_placer("two-stage")->place(synth.schedule, two_stage).placement,
-        24});
+        make_placer("two-stage")->place(schedule, two_stage).placement, 24});
   }
 
   const auto router = make_router("prioritized");
@@ -54,7 +53,7 @@ int main() {
   for (const auto& candidate : candidates) {
     const auto route_start = std::chrono::steady_clock::now();
     const RoutePlan plan =
-        router->plan(assay.graph, synth.schedule, candidate.placement,
+        router->plan(assay.graph, schedule, candidate.placement,
                      candidate.chip, candidate.chip);
     const double route_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -78,7 +77,7 @@ int main() {
       makespan_steps += c.makespan_steps;
     }
     const ActuationProgram program =
-        compile_actuation(synth.schedule, candidate.placement, plan,
+        compile_actuation(schedule, candidate.placement, plan,
                           candidate.chip, candidate.chip);
     const auto violations = validate_program(program);
     table.add_row({candidate.name,

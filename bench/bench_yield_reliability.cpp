@@ -19,12 +19,12 @@ int main() {
   bench::banner(
       "Extension — assay survival vs per-cell failure probability");
 
-  const auto synth = bench::synthesized_pcr();
+  const Schedule schedule = bench::case_schedule(pcr_mixing_assay());
+  PlacerContext context = bench::paper_context();
+  context.two_stage_beta = 40.0;
 
-  const auto area_only =
-      place_simulated_annealing(synth.schedule, bench::paper_sa_options());
-  const auto enhanced =
-      place_two_stage(synth.schedule, bench::paper_two_stage_options(40.0));
+  const auto area_only = make_placer("sa")->place(schedule, context);
+  const auto enhanced = make_placer("two-stage")->place(schedule, context);
 
   struct Candidate {
     const char* name;
@@ -32,7 +32,7 @@ int main() {
   };
   const Candidate candidates[] = {
       {"area-only (Fig. 7)", &area_only.placement},
-      {"fault-aware (Fig. 8)", &enhanced.stage2.placement},
+      {"fault-aware (Fig. 8)", &enhanced.placement},
   };
 
   for (const auto& candidate : candidates) {

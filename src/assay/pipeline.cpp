@@ -353,35 +353,23 @@ PipelineResult SynthesisPipeline::run_bound(const SequencingGraph& graph,
     const auto start = Clock::now();
     const Chip chip(chip_width, chip_height);
     std::ostringstream detail;
-    if (options_.simulation.engine == SimEngineKind::kEvent) {
-      EventSimEngine engine(options_.simulation);
-      SimEngineRun run =
-          engine.run(graph, result.schedule, result.placement.placement, chip);
-      result.simulation = std::move(run.result);
-      if (result.simulation.success) {
-        detail << "completed in " << result.simulation.makespan_s << " s, "
-               << result.simulation.routes_planned << " routes";
-      } else {
-        detail << "simulation failed: " << result.simulation.failure_reason;
-        if (run.stall.stalled) detail << " [" << run.stall.chain << "]";
-      }
-      const SimEngineTelemetry& t = run.telemetry;
-      detail << "; events=" << t.events_dispatched
-             << " route-avg=" << t.route_cost.average() * 1e6 << "us"
-             << " route-max=" << t.route_cost.max * 1e6 << "us"
-             << " fast-paths=" << t.manhattan_fast_paths
-             << " grid-reuses=" << t.blocked_grid_reuses;
+    EventSimEngine engine(options_.simulation);
+    SimEngineRun run =
+        engine.run(graph, result.schedule, result.placement.placement, chip);
+    result.simulation = std::move(run.result);
+    if (result.simulation.success) {
+      detail << "completed in " << result.simulation.makespan_s << " s, "
+             << result.simulation.routes_planned << " routes";
     } else {
-      const Simulator simulator(options_.simulation);
-      result.simulation = simulator.run(graph, result.schedule,
-                                        result.placement.placement, chip);
-      if (result.simulation.success) {
-        detail << "completed in " << result.simulation.makespan_s << " s, "
-               << result.simulation.routes_planned << " routes";
-      } else {
-        detail << "simulation failed: " << result.simulation.failure_reason;
-      }
+      detail << "simulation failed: " << result.simulation.failure_reason;
+      if (run.stall.stalled) detail << " [" << run.stall.chain << "]";
     }
+    const SimEngineTelemetry& t = run.telemetry;
+    detail << "; events=" << t.events_dispatched
+           << " route-avg=" << t.route_cost.average() * 1e6 << "us"
+           << " route-max=" << t.route_cost.max * 1e6 << "us"
+           << " fast-paths=" << t.manhattan_fast_paths
+           << " grid-reuses=" << t.blocked_grid_reuses;
     record(PipelineStage::kSimulate, seconds_since(start), detail.str());
   }
 

@@ -48,7 +48,6 @@
 #include "sim/route_planner.h"
 #include "sim/simulator.h"
 #include "util/cost_statistic.h"
-#include "util/deprecation.h"
 
 namespace dmfb {
 
@@ -256,14 +255,10 @@ struct PipelineResult {
   Binding binding;
   Schedule schedule;
   /// Makespan of `schedule`, which treats configuration changeovers as
-  /// instantaneous. Deprecated as a chip-time estimate: droplet transport
-  /// at changeovers is real time — read `transport_makespan_s` (or
-  /// `transported_schedule.makespan_s()`) for the makespan the chip
-  /// actually needs; `schedule.makespan_s()` still gives the
-  /// changeover-free value when that is what you mean.
-  DMFB_DEPRECATED(
-      "read transport_makespan_s (or schedule.makespan_s() for the "
-      "changeover-free value)")
+  /// instantaneous; `transport_makespan_s` is the chip time that includes
+  /// droplet transport. Kept as a field because a cached result carries
+  /// no schedule: a loaded cache entry has its changeover-free makespan
+  /// only here.
   double makespan_s = 0.0;
   long long peak_concurrent_cells = 0;
 

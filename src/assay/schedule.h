@@ -99,4 +99,9 @@ class Schedule {
   std::vector<ScheduledModule> modules_;
 };
 
+/// Renders a schedule as an ASCII Gantt chart (one row per module, '#'
+/// during the module's active interval) — the shape of the paper's Fig. 6.
+std::string render_gantt(const Schedule& schedule,
+                         double seconds_per_column = 1.0);
+
 }  // namespace dmfb

@@ -10,7 +10,6 @@
 
 #include "assay/schedule.h"
 #include "core/placement.h"
-#include "util/deprecation.h"
 
 namespace dmfb {
 
@@ -18,7 +17,6 @@ namespace dmfb {
 /// footprint would cover a cell of `defects` are skipped (defect-aware
 /// constructive placement over a manufacturing defect map). Throws
 /// std::runtime_error when some module cannot be placed.
-DMFB_DEPRECATED("use make_placer(\"greedy\")->place(schedule, context)")
 Placement place_greedy(const Schedule& schedule, int canvas_width,
                        int canvas_height,
                        const std::vector<Point>& defects = {});

@@ -13,7 +13,6 @@
 #include "assay/schedule.h"
 #include "core/placement.h"
 #include "core/reconfig.h"
-#include "util/deprecation.h"
 
 namespace dmfb {
 
@@ -31,7 +30,6 @@ struct KamerResult {
 /// time — chosen by `policy` (kBestFit mirrors KAMER's default), anchored
 /// at the rectangle's bottom-left. Orientation is tried canonical first,
 /// then rotated when `allow_rotation`.
-DMFB_DEPRECATED("use make_placer(\"kamer\")->place(schedule, context)")
 KamerResult place_kamer(const Schedule& schedule, int array_width,
                         int array_height,
                         RelocationPolicy policy = RelocationPolicy::kBestFit,

@@ -16,7 +16,6 @@
 
 #include "assay/schedule.h"
 #include "core/placement.h"
-#include "util/deprecation.h"
 
 namespace dmfb {
 
@@ -37,7 +36,6 @@ struct OptimalResult {
 /// Finds a placement of provably minimum bounding-box area. Throws
 /// std::invalid_argument for instances over options.max_modules and
 /// std::runtime_error when the node budget is exhausted.
-DMFB_DEPRECATED("use make_placer(\"optimal\")->place(schedule, context)")
 OptimalResult place_optimal(const Schedule& schedule,
                             const OptimalPlacerOptions& options = {});
 

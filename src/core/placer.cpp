@@ -9,7 +9,6 @@
 
 #include "core/greedy_placer.h"
 #include "core/kamer_placer.h"
-#include "core/two_stage_placer.h"
 #include "util/rng.h"
 
 namespace dmfb {
@@ -39,13 +38,42 @@ void reject_defects(const PlacerContext& context, const char* name) {
   }
 }
 
+/// Transfers module poses from a warm-start placement onto `seeded` (built
+/// from the *current* schedule) and validates the result. Returns false —
+/// leaving the caller to fall back to a greedy initial — when the counts
+/// differ or the transferred poses are infeasible or touch a defect.
+bool seed_from_warm_start(Placement& seeded, const Placement& warm,
+                          const PlacerContext& context) {
+  if (warm.module_count() != seeded.module_count()) return false;
+  for (int i = 0; i < seeded.module_count(); ++i) {
+    seeded.set_position(i, warm.module(i).anchor, warm.module(i).rotated);
+  }
+  if (!seeded.feasible()) return false;
+  if (!context.defects.empty()) {
+    CostEvaluator evaluator(context.weights, context.fti_options);
+    evaluator.set_defects(context.defects);
+    if (evaluator.defect_usage(seeded) != 0) return false;
+  }
+  return true;
+}
+
+/// Anneals from the warm start when it is compatible, else from a greedy
+/// constructive initial placement.
 class SaPlacer final : public Placer {
  public:
   std::string name() const override { return "sa"; }
 
   PlacementOutcome place(const Schedule& schedule,
                          const PlacerContext& context) const override {
-    return place_simulated_annealing(schedule, sa_options_from(context));
+    if (context.initial_placement) {
+      Placement seeded(schedule, context.canvas_width, context.canvas_height);
+      if (seed_from_warm_start(seeded, *context.initial_placement, context)) {
+        return anneal_from(seeded, context);
+      }
+    }
+    return anneal_from(place_greedy(schedule, context.canvas_width,
+                                    context.canvas_height, context.defects),
+                       context);
   }
 };
 
@@ -112,16 +140,23 @@ class TwoStagePlacer final : public Placer {
 
   PlacementOutcome place(const Schedule& schedule,
                          const PlacerContext& context) const override {
-    TwoStageOptions options;
-    options.stage1 = sa_options_from(context);
-    options.beta = context.two_stage_beta;
-    options.ltsa = context.ltsa;
-    // Both stages are reproducible from the one context seed; the stage-2
-    // stream is split off so it does not replay stage 1's.
-    options.stage2_seed = SplitMix64(context.seed ^ 0x5a5a5a5aULL).next();
-    const TwoStageOutcome outcome = place_two_stage(schedule, options);
-    PlacementOutcome result = outcome.stage2;
-    result.wall_seconds += outcome.stage1.wall_seconds;
+    // Stage 1: fault-oblivious annealing, the "sa" path at beta = 0.
+    PlacerContext stage1 = context;
+    stage1.weights.beta = 0.0;
+    const PlacementOutcome area = SaPlacer().place(schedule, stage1);
+
+    // Stage 2: LTSA from the stage-1 placement, single-module
+    // displacements only (§6.2). Both stages are reproducible from the one
+    // context seed; the stage-2 stream is split off so it does not replay
+    // stage 1's.
+    PlacerContext stage2 = context;
+    stage2.annealing = context.ltsa;
+    stage2.weights.beta = context.two_stage_beta;
+    stage2.seed = SplitMix64(context.seed ^ 0x5a5a5a5aULL).next();
+    stage2.moves.single_move_probability = 1.0;
+    stage2.moves.rotate_probability = 0.0;
+    PlacementOutcome result = anneal_from(area.placement, stage2);
+    result.wall_seconds += area.wall_seconds;
     return result;
   }
 };
@@ -165,21 +200,6 @@ std::istream& operator>>(std::istream& is, PlacerKind& kind) {
   is >> token;
   kind = from_string<PlacerKind>(token);
   return is;
-}
-
-SaPlacerOptions sa_options_from(const PlacerContext& context) {
-  SaPlacerOptions options;
-  options.canvas_width = context.canvas_width;
-  options.canvas_height = context.canvas_height;
-  options.schedule = context.annealing;
-  options.moves = context.moves;
-  options.weights = context.weights;
-  options.fti_options = context.fti_options;
-  options.defects = context.defects;
-  options.route_links = context.route_links;
-  options.seed = context.seed;
-  options.initial = context.initial_placement;
-  return options;
 }
 
 PlacerRegistry::PlacerRegistry() {

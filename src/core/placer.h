@@ -5,10 +5,9 @@
 // level synthesis hands a Schedule to *some* placer, which returns module
 // locations. The repo has five placers (greedy bottom-left, KAMER-style
 // online, simulated annealing, exact branch-and-bound, and the two-stage
-// fault-aware flow), each with its own free function and option struct;
-// this header unifies them behind one abstract `Placer` so drivers,
-// benches and the `SynthesisPipeline` facade (assay/pipeline.h) can select
-// a backend by name:
+// fault-aware flow); this header puts them behind one abstract `Placer`
+// configured by one `PlacerContext`, so drivers, benches and the
+// `SynthesisPipeline` facade (assay/pipeline.h) select a backend by name:
 //
 //   auto placer = make_placer("two-stage");
 //   PlacementOutcome outcome = placer->place(schedule, context);
@@ -53,10 +52,9 @@ PlacerKind from_string<PlacerKind>(std::string_view text);
 std::ostream& operator<<(std::ostream& os, PlacerKind kind);
 std::istream& operator>>(std::istream& is, PlacerKind& kind);
 
-/// Everything a placement backend may need, superseding the per-placer
-/// option structs. Backends read the fields relevant to them and ignore the
-/// rest; `seed` drives every stochastic backend so one number reproduces a
-/// run (see PipelineOptions::seed).
+/// Everything a placement backend may need. Backends read the fields
+/// relevant to them and ignore the rest; `seed` drives every stochastic
+/// backend so one number reproduces a run (see PipelineOptions::seed).
 struct PlacerContext {
   int canvas_width = 24;   ///< core-area bound (Fig. 4(a))
   int canvas_height = 24;
@@ -68,10 +66,14 @@ struct PlacerContext {
   /// fills these from routing::extract_links and, on feedback rounds,
   /// re-weights them with measured route costs. Ignored at gamma = 0.
   std::vector<RouteLink> route_links;
-  /// Optional warm-start placement (module poses copied onto the new
-  /// schedule when compatible; see SaPlacerOptions::initial). Honoured by
-  /// the annealing backends ("sa" and stage 1 of "two-stage"); the others
-  /// ignore it.
+  /// Optional warm start (the synthesis service's placement memo): module
+  /// poses are copied index-by-index onto the new schedule's placement and
+  /// annealed from there instead of the greedy constructive initial. Used
+  /// only when compatible — same module count and the seeded placement is
+  /// feasible and defect-free — otherwise silently falls back to greedy.
+  /// Poses only; the time structure always comes from the schedule.
+  /// Honoured by the annealing backends ("sa" and stage 1 of
+  /// "two-stage"); the others ignore it.
   std::shared_ptr<const Placement> initial_placement;
   std::uint64_t seed = 0xDA7E2005ULL;
 
@@ -81,7 +83,9 @@ struct PlacerContext {
   CostWeights weights;  ///< beta = 0 keeps the objective area-only
   FtiOptions fti_options;
 
-  // "two-stage" refinement (§6.2).
+  // "two-stage" refinement (§6.2): stage 2 anneals stage 1's placement
+  // under `ltsa` at beta = `two_stage_beta`, with single-module
+  // displacements only.
   double two_stage_beta = 30.0;  ///< fault-tolerance weight of stage 2
   AnnealingSchedule ltsa{/*initial_temperature=*/100.0,
                          /*cooling_rate=*/0.9,
@@ -96,10 +100,6 @@ struct PlacerContext {
   RelocationPolicy kamer_policy = RelocationPolicy::kBestFit;
   bool allow_rotation = true;
 };
-
-/// SaPlacerOptions equivalent to `context` (used by the "sa" adapter and by
-/// callers migrating off the legacy struct).
-SaPlacerOptions sa_options_from(const PlacerContext& context);
 
 /// Abstract placement backend: a Schedule in, module locations out.
 ///

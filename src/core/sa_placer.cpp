@@ -5,30 +5,11 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/greedy_placer.h"
 #include "core/incremental_cost.h"
+#include "core/placer.h"
 
 namespace dmfb {
 namespace {
-
-/// Transfers module poses from a warm-start placement onto `seeded` (built
-/// from the *current* schedule) and validates the result. Returns false —
-/// leaving the caller to fall back to a greedy initial — when the counts
-/// differ or the transferred poses are infeasible or touch a defect.
-bool seed_from_warm_start(Placement& seeded, const Placement& warm,
-                          const SaPlacerOptions& options) {
-  if (warm.module_count() != seeded.module_count()) return false;
-  for (int i = 0; i < seeded.module_count(); ++i) {
-    seeded.set_position(i, warm.module(i).anchor, warm.module(i).rotated);
-  }
-  if (!seeded.feasible()) return false;
-  if (!options.defects.empty()) {
-    CostEvaluator evaluator(options.weights, options.fti_options);
-    evaluator.set_defects(options.defects);
-    if (evaluator.defect_usage(seeded) != 0) return false;
-  }
-  return true;
-}
 
 /// Concrete (non-type-erased) problem, so the annealing loop inlines the
 /// callbacks — std::function dispatch measurably costs at the delta
@@ -50,7 +31,7 @@ InlineDeltaProblem(P, C, R, Q, B) -> InlineDeltaProblem<P, C, R, Q, B>;
 /// when a new best is recorded.
 Placement anneal_delta_engine(const Placement& initial,
                               const CostEvaluator& evaluator,
-                              const SaPlacerOptions& options, Rng& rng,
+                              const PlacerContext& context, Rng& rng,
                               AnnealingStats* stats) {
   IncrementalPlacementState state(initial, evaluator);
 
@@ -80,10 +61,10 @@ Placement anneal_delta_engine(const Placement& initial,
         if (fraction != cached_fraction) {
           cached_fraction = fraction;
           cached_span = controlling_window_span(state.placement(), fraction,
-                                                options.moves);
+                                                context.moves);
         }
         const PlacementMove move = generate_random_move_with_span(
-            state.placement(), cached_span, options.moves, move_rng);
+            state.placement(), cached_span, context.moves, move_rng);
         last_kind = static_cast<int>(move.kind);
         ++proposals_by_kind[last_kind];
         return state.propose(move);
@@ -105,7 +86,7 @@ Placement anneal_delta_engine(const Placement& initial,
       }};
 
   const double best_cost =
-      anneal_delta(state.cost(), problem, options.schedule,
+      anneal_delta(state.cost(), problem, context.annealing,
                    initial.module_count(), rng, stats);
   if (stats) {
     for (int k = 0; k < AnnealingStats::kMoveKindSlots; ++k) {
@@ -144,33 +125,19 @@ void check_schedule(const AnnealingSchedule& schedule) {
   }
 }
 
-PlacementOutcome place_simulated_annealing(const Schedule& schedule,
-                                           const SaPlacerOptions& options) {
-  if (options.initial) {
-    Placement seeded(schedule, options.canvas_width, options.canvas_height);
-    if (seed_from_warm_start(seeded, *options.initial, options)) {
-      return anneal_from(seeded, options);
-    }
-  }
-  const Placement initial =
-      place_greedy(schedule, options.canvas_width, options.canvas_height,
-                   options.defects);
-  return anneal_from(initial, options);
-}
-
 PlacementOutcome anneal_from(const Placement& initial,
-                             const SaPlacerOptions& options) {
-  check_schedule(options.schedule);
+                             const PlacerContext& context) {
+  check_schedule(context.annealing);
   const auto start_time = std::chrono::steady_clock::now();
 
-  CostEvaluator evaluator(options.weights, options.fti_options);
-  evaluator.set_defects(options.defects);
-  evaluator.set_route_links(options.route_links);
-  Rng rng(options.seed);
+  CostEvaluator evaluator(context.weights, context.fti_options);
+  evaluator.set_defects(context.defects);
+  evaluator.set_route_links(context.route_links);
+  Rng rng(context.seed);
 
   PlacementOutcome outcome;
   outcome.placement =
-      anneal_delta_engine(initial, evaluator, options, rng, &outcome.stats);
+      anneal_delta_engine(initial, evaluator, context, rng, &outcome.stats);
   outcome.cost = evaluator.evaluate(outcome.placement);
   outcome.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -

@@ -1,5 +1,6 @@
 #include "io/json.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -211,6 +212,18 @@ class Parser {
     if (!at_end() && peek() == '-') ++pos_;
     if (at_end() || peek() < '0' || peek() > '9') fail("invalid number");
     while (!at_end() && peek() >= '0' && peek() <= '9') ++pos_;
+    const bool integer_literal =
+        text_[start] != '-' &&
+        (at_end() || (peek() != '.' && peek() != 'e' && peek() != 'E'));
+    if (integer_literal) {
+      std::uint64_t exact = 0;
+      const char* first = text_.data() + start;
+      const char* last = text_.data() + pos_;
+      if (std::from_chars(first, last, exact).ec == std::errc()) {
+        return Value(exact);
+      }
+      // Out of uint64 range: fall through to the double reading.
+    }
     if (!at_end() && peek() == '.') {
       ++pos_;
       if (at_end() || peek() < '0' || peek() > '9') fail("invalid number");
@@ -256,6 +269,12 @@ void dump_string(const std::string& s, std::string& out) {
   out.push_back('"');
 }
 
+void dump_integer(std::uint64_t value, std::string& out) {
+  char buffer[24];
+  const auto result = std::to_chars(buffer, buffer + sizeof(buffer), value);
+  out.append(buffer, result.ptr);
+}
+
 void dump_number(double value, std::string& out) {
   if (!std::isfinite(value)) {
     out += "null";  // JSON has no Inf/NaN; null is the conventional stand-in
@@ -293,6 +312,17 @@ bool Value::as_bool() const {
 double Value::as_number() const {
   if (kind_ != Kind::kNumber) throw JsonError(0, "expected number");
   return number_;
+}
+
+std::uint64_t Value::as_u64() const {
+  if (exact_integer_) return integer_;
+  // 2^64 is exactly representable, so `< 2^64` admits every whole double
+  // the cast below can hold.
+  if (kind_ != Kind::kNumber || !(number_ >= 0.0 && number_ < 0x1p64) ||
+      number_ != std::trunc(number_)) {
+    throw JsonError(0, "expected an unsigned 64-bit integer, got " + dump());
+  }
+  return static_cast<std::uint64_t>(number_);
 }
 
 const std::string& Value::as_string() const {
@@ -343,7 +373,11 @@ void Value::dump_to(std::string& out) const {
       out += bool_ ? "true" : "false";
       break;
     case Kind::kNumber:
-      dump_number(number_, out);
+      if (exact_integer_) {
+        dump_integer(integer_, out);
+      } else {
+        dump_number(number_, out);
+      }
       break;
     case Kind::kString:
       dump_string(string_, out);

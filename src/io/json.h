@@ -3,14 +3,17 @@
 //
 // Scope is deliberately small: one self-contained value type, a strict
 // recursive-descent parser (throws JsonError with a byte offset), and a
-// compact writer whose output round-trips. Numbers are doubles (ints in
-// the protocol stay exact up to 2^53), object member order is preserved,
-// and strings handle the standard escapes plus \uXXXX (encoded to UTF-8,
-// surrogate pairs included). No streaming, no comments, no trailing
-// commas — requests are one JSON object per line.
+// compact writer whose output round-trips. Numbers are doubles, except
+// that a non-negative integer literal below 2^64 also keeps its exact
+// value, so 64-bit seeds cross the wire digit for digit (as_u64, and the
+// std::uint64_t constructor on the way out). Object member order is
+// preserved, and strings handle the standard escapes plus \uXXXX
+// (encoded to UTF-8, surrogate pairs included). No streaming, no
+// comments, no trailing commas — requests are one JSON object per line.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -47,6 +50,13 @@ class Value {
   Value(double value) : kind_(Kind::kNumber), number_(value) {}
   Value(int value) : Value(static_cast<double>(value)) {}
   Value(long long value) : Value(static_cast<double>(value)) {}
+  /// An exact unsigned integer: dumps digit for digit, reads back through
+  /// as_u64 unrounded.
+  Value(std::uint64_t value)
+      : kind_(Kind::kNumber),
+        number_(static_cast<double>(value)),
+        integer_(value),
+        exact_integer_(true) {}
   Value(const char* value) : kind_(Kind::kString), string_(value) {}
   Value(std::string value) : kind_(Kind::kString), string_(std::move(value)) {}
   Value(Array value) : kind_(Kind::kArray), array_(std::move(value)) {}
@@ -64,6 +74,10 @@ class Value {
   /// handlers get one error type for "malformed request".
   bool as_bool() const;
   double as_number() const;
+  /// Checked unsigned read: an exact integer's value, or a whole number
+  /// in [0, 2^64) held as a double. Throws JsonError for anything else
+  /// (negative, fractional, too large, not a number).
+  std::uint64_t as_u64() const;
   const std::string& as_string() const;
   const Array& as_array() const;
   const Object& as_object() const;
@@ -86,6 +100,8 @@ class Value {
   Kind kind_ = Kind::kNull;
   bool bool_ = false;
   double number_ = 0.0;
+  std::uint64_t integer_ = 0;   ///< the exact value iff exact_integer_
+  bool exact_integer_ = false;
   std::string string_;
   Array array_;
   Object object_;

@@ -93,8 +93,6 @@ std::uint64_t options_fingerprint(const PipelineOptions& options) {
   mix_routing(h, options.routing);
   h.mix(options.chip_width).mix(options.chip_height);
   h.mix(options.simulate);
-  // `simulation.engine` is deliberately *not* mixed: both engines are
-  // bit-identical by contract, so a cached result serves either.
   h.mix(options.simulation.droplet_speed_cells_per_s)
       .mix(options.simulation.verify_routing)
       .mix(options.simulation.record_events);

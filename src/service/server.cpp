@@ -29,10 +29,6 @@ int as_int(const json::Value& value) {
   return static_cast<int>(number);
 }
 
-std::uint64_t as_u64(const json::Value& value) {
-  return static_cast<std::uint64_t>(value.as_number());
-}
-
 std::pair<int, int> as_dims(const json::Value& value, const char* what) {
   const auto& pair = value.as_array();
   if (pair.size() != 2) {
@@ -40,6 +36,11 @@ std::pair<int, int> as_dims(const json::Value& value, const char* what) {
   }
   return {as_int(pair[0]), as_int(pair[1])};
 }
+
+/// Most anneal work one wire request may ask for, as temperature steps
+/// times iterations per module. The paper's schedule (T0 = 1e4,
+/// alpha = 0.9, Na = 400, stop at 0.05) is 116 x 400 = 46,400.
+constexpr double kMaxAnnealWork = 4e6;
 
 void parse_annealing(const json::Value& value, AnnealingSchedule& schedule) {
   for (const auto& [key, field] : value.as_object()) {
@@ -59,6 +60,18 @@ void parse_annealing(const json::Value& value, AnnealingSchedule& schedule) {
   // the service's own refinement schedule, which would mask a request
   // schedule that never terminates.
   check_schedule(schedule);
+  // A schedule that terminates can still take hours; bound its work.
+  const double steps =
+      schedule.initial_temperature > schedule.min_temperature
+          ? std::ceil(std::log(schedule.min_temperature /
+                               schedule.initial_temperature) /
+                      std::log(schedule.cooling_rate))
+          : 0.0;
+  if (steps * schedule.iterations_per_module > kMaxAnnealWork) {
+    throw std::invalid_argument(
+        "annealing schedule exceeds the per-request work limit "
+        "(temperature steps x iterations_per_module > 4e6)");
+  }
 }
 
 json::Value stats_line(const CacheStats& stats) {
@@ -92,7 +105,7 @@ void parse_pipeline_options(const json::Value& value,
                             PipelineOptions& options) {
   for (const auto& [key, field] : value.as_object()) {
     if (key == "seed") {
-      options.seed = as_u64(field);
+      options.seed = field.as_u64();
     } else if (key == "placer") {
       options.placer = field.as_string();
     } else if (key == "router") {
@@ -154,7 +167,7 @@ void parse_pipeline_options(const json::Value& value,
 
 json::Value pipeline_options_to_json(const PipelineOptions& options) {
   json::Value doc;
-  doc.set("seed", static_cast<double>(options.seed));
+  doc.set("seed", json::Value(options.seed));
   doc.set("placer", options.placer);
   doc.set("router", options.router);
   const auto dims = [](int w, int h) {
@@ -241,7 +254,7 @@ std::string CompileServer::render_response(const CompileResponse& response) {
   const PipelineResult& r = *response.result;
   json::Value result;
   result.set("assay", r.assay_name);
-  result.set("seed", static_cast<double>(r.seed));
+  result.set("seed", json::Value(r.seed));
   result.set("area_cells",
              static_cast<double>(r.placement.cost.area_cells));
   result.set("cost", r.placement.cost.value);

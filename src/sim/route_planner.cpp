@@ -478,13 +478,6 @@ RoutePlan plan_prioritized(const SequencingGraph& graph,
 
 }  // namespace routing
 
-RoutePlan plan_routes(const SequencingGraph& graph, const Schedule& schedule,
-                      const Placement& placement, int chip_width,
-                      int chip_height, const RoutePlannerOptions& options) {
-  return routing::plan_prioritized(graph, schedule, placement, chip_width,
-                                   chip_height, options);
-}
-
 std::vector<std::string> validate_changeover(
     const ChangeoverPlan& plan, const Matrix<std::uint8_t>& blocked,
     const RoutePlannerOptions& options) {

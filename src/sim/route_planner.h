@@ -10,10 +10,9 @@
 // previous position, unless they are being merged at the same target).
 //
 // This header carries the plan data model (TransferRequest, TimedRoute,
-// ChangeoverPlan, RoutePlan), the shared building blocks every routing
-// backend composes (`routing::` namespace), and the legacy `plan_routes`
-// entry point — now a deprecated thin wrapper over the "prioritized"
-// backend. Polymorphic backends live in sim/router_backend.h:
+// ChangeoverPlan, RoutePlan) and the shared building blocks every routing
+// backend composes (`routing::` namespace). Polymorphic backends live in
+// sim/router_backend.h:
 //
 //   auto router = make_router("negotiated");
 //   RoutePlan plan = router->plan(graph, schedule, placement, 16, 16);
@@ -37,7 +36,6 @@
 #include "assay/sequencing_graph.h"
 #include "core/cost.h"
 #include "core/placement.h"
-#include "util/deprecation.h"
 #include "util/geometry.h"
 #include "util/matrix.h"
 
@@ -198,17 +196,6 @@ struct RoutePlannerOptions {
   int threads = 1;
 };
 
-/// Plans droplet routing for the full assay with the classic prioritized
-/// planner. Deprecated: resolve a backend through the RouterRegistry
-/// (sim/router_backend.h) instead; `make_router("prioritized")` reproduces
-/// this function exactly.
-DMFB_DEPRECATED(
-    "use make_router(\"prioritized\")->plan(...) from sim/router_backend.h")
-RoutePlan plan_routes(const SequencingGraph& graph, const Schedule& schedule,
-                      const Placement& placement, int chip_width,
-                      int chip_height,
-                      const RoutePlannerOptions& options = {});
-
 /// Validates a changeover plan against the fluidic constraints; returns
 /// human-readable violations (empty = valid). Exposed for tests and used
 /// by the shared router conformance suite.
@@ -342,8 +329,7 @@ RoutePlan solve_changeovers(const std::vector<ChangeoverProblem>& problems,
 void accumulate(RoutePlan& plan, ChangeoverPlan&& changeover);
 
 /// The full prioritized planner (extraction + per-changeover solve in
-/// `default_order`) — the implementation behind the "prioritized" backend
-/// and the deprecated `plan_routes`.
+/// `default_order`) — the implementation behind the "prioritized" backend.
 RoutePlan plan_prioritized(const SequencingGraph& graph,
                            const Schedule& schedule,
                            const Placement& placement, int chip_width,

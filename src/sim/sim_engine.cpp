@@ -10,6 +10,7 @@
 #include <stdexcept>
 
 #include "biochip/module_spec.h"
+#include "sim/router.h"
 
 namespace dmfb {
 namespace {

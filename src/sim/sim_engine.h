@@ -1,6 +1,7 @@
 // sim_engine.h — the event-queue droplet simulation engine.
 //
-// The reference simulator walks the schedule module by module, building a
+// The reference simulator (a test oracle, tests/oracles/
+// reference_simulator.h) walks the schedule module by module, building a
 // chip-sized blocked matrix from scratch for every routing call, scanning
 // the fault list linearly per module, and formatting event strings
 // through stringstreams. This engine executes the identical model as a
@@ -28,8 +29,8 @@
 //     the reference), and SimOptions::record_events turns the log off
 //     for batch runs that only read the structured fields.
 //
-// The results are bit-identical to SimEngineKind::kReference — events,
-// op_outputs, route accounting, failure reasons — pinned by the audit in
+// The results are bit-identical to the reference's — events, op_outputs,
+// route accounting, failure reasons — pinned by the audit in
 // tests/test_sim_engine.cpp, the same way the copy annealing engine pins
 // the delta engine. On top of that contract the engine reports what the
 // reference cannot: a StallReport naming the wait chain behind a routing
@@ -176,8 +177,7 @@ struct SimEngineRun {
 /// path/heap pools) persists across run() calls, so batch drivers that
 /// keep one engine per worker thread simulate allocation-free in steady
 /// state. Not thread-safe; one engine per thread (the annealer's scratch
-/// discipline). `options.engine` is ignored here — constructing this
-/// class *is* choosing the event engine.
+/// discipline).
 class EventSimEngine {
  public:
   explicit EventSimEngine(SimOptions options = {});

@@ -16,24 +16,18 @@
 // boundaries and is not added to the schedule's makespan (the paper's
 // schedule also excludes routing time); droplet-droplet collision is
 // avoided structurally by routing one droplet at a time against the
-// module occupancy. Under the event-queue engine (sim/sim_engine.h, the
-// default) those slice boundaries are exactly the changeover events the
-// queue dispatches: droplets and modules sleep until a module-start
-// event pulls their inputs across the array, so nothing is stepped
-// between boundaries — but the slice-boundary timing model itself is
-// unchanged, and both engines produce bit-identical results.
+// module occupancy. Those slice boundaries are exactly the changeover
+// events the engine's queue dispatches: droplets and modules sleep until
+// a module-start event pulls their inputs across the array, so nothing is
+// stepped between boundaries.
 //
-// Two engines implement the model:
-//   - SimEngineKind::kEvent (default): the event-queue engine — pooled
-//     per-step state, O(dirty) blocked-grid maintenance, stall
-//     diagnostics (sim/sim_engine.h).
-//   - SimEngineKind::kReference: the original straight-line
-//     implementation, kept as the pinned behavioural reference the
-//     event engine is audited against (tests/test_sim_engine.cpp), the
-//     same way the copy annealing engine pins the delta engine.
+// The engine is EventSimEngine (sim/sim_engine.h): pooled per-step state,
+// O(dirty) blocked-grid maintenance and stall diagnostics. The original
+// straight-line implementation survives as a test oracle
+// (tests/oracles/reference_simulator.h) that the engine is audited
+// against, the same way the copying annealer pins the delta engine.
 #pragma once
 
-#include <iosfwd>
 #include <map>
 #include <string>
 #include <vector>
@@ -44,27 +38,8 @@
 #include "biochip/droplet.h"
 #include "core/placement.h"
 #include "sim/route_planner.h"
-#include "sim/router.h"
-#include "util/enum_text.h"
 
 namespace dmfb {
-
-/// Which implementation executes the run. Both produce bit-identical
-/// SimulationResults (events, op_outputs, route accounting, failure
-/// reasons) — kEvent is the fast production engine, kReference the
-/// pinned audit baseline.
-enum class SimEngineKind {
-  kEvent,      ///< event-queue engine with pooled per-step state
-  kReference,  ///< original implementation, kept as the identity pin
-};
-
-/// "event" / "reference", for configs and bench JSON; `from_string` and
-/// `>>` throw std::invalid_argument on unknown text.
-const char* to_string(SimEngineKind kind);
-template <>
-SimEngineKind from_string<SimEngineKind>(std::string_view text);
-std::ostream& operator<<(std::ostream& os, SimEngineKind kind);
-std::istream& operator>>(std::istream& is, SimEngineKind& kind);
 
 /// Simulator tuning.
 struct SimOptions {
@@ -81,8 +56,6 @@ struct SimOptions {
   /// everything except `events` is bit-identical either way. Reached
   /// through the pipeline as PipelineOptions::simulation.record_events.
   bool record_events = true;
-  /// Executing engine; kEvent unless pinning against the reference.
-  SimEngineKind engine = SimEngineKind::kEvent;
 };
 
 /// One timestamped thing that happened during simulation.
@@ -115,10 +88,10 @@ class Simulator {
 
   /// Runs `graph`'s operations per `schedule` at the locations in
   /// `placement` on `chip`. The chip must be at least as large as the
-  /// placement's canvas requirement (bounding box). A thin adapter: the
-  /// work happens in the engine options().engine selects — use
-  /// EventSimEngine (sim/sim_engine.h) directly for stall diagnostics,
-  /// per-phase telemetry, or cross-run scratch reuse.
+  /// placement's canvas requirement (bounding box). A one-call entry to
+  /// a fresh EventSimEngine (sim/sim_engine.h); use the engine directly
+  /// for stall diagnostics, per-phase telemetry, or cross-run scratch
+  /// reuse.
   SimulationResult run(const SequencingGraph& graph, const Schedule& schedule,
                        const Placement& placement, const Chip& chip) const;
 

@@ -1,19 +1,20 @@
 #include "oracles/copy_annealer.h"
 
 #include "core/cost.h"
+#include "core/greedy_placer.h"
 #include "core/moves.h"
 #include "core/placer.h"
 
 namespace dmfb::oracle {
 
 PlacementOutcome anneal_copy(const Placement& initial,
-                             const SaPlacerOptions& options) {
+                             const PlacerContext& context) {
   const auto start_time = std::chrono::steady_clock::now();
 
-  CostEvaluator evaluator(options.weights, options.fti_options);
-  evaluator.set_defects(options.defects);
-  evaluator.set_route_links(options.route_links);
-  Rng rng(options.seed);
+  CostEvaluator evaluator(context.weights, context.fti_options);
+  evaluator.set_defects(context.defects);
+  evaluator.set_route_links(context.route_links);
+  Rng rng(context.seed);
 
   PlacementOutcome outcome;
   long long proposals_by_kind[AnnealingStats::kMoveKindSlots] = {0, 0, 0, 0};
@@ -22,14 +23,14 @@ PlacementOutcome anneal_copy(const Placement& initial,
   problem.neighbor = [&](const Placement& p, double fraction, Rng& move_rng) {
     Placement next = p;
     const MoveKind kind =
-        apply_random_move(next, fraction, options.moves, move_rng);
+        apply_random_move(next, fraction, context.moves, move_rng);
     ++proposals_by_kind[static_cast<int>(kind)];
     return next;
   };
   problem.recordable = [&](const Placement& p) {
     return p.feasible() && evaluator.defect_usage(p) == 0;
   };
-  outcome.placement = anneal(initial, problem, options.schedule,
+  outcome.placement = anneal(initial, problem, context.annealing,
                              initial.module_count(), rng, &outcome.stats);
   for (int k = 0; k < AnnealingStats::kMoveKindSlots; ++k) {
     outcome.stats.proposals_by_kind[k] = proposals_by_kind[k];
@@ -43,13 +44,10 @@ PlacementOutcome anneal_copy(const Placement& initial,
 }
 
 PlacementOutcome place_copy(const Schedule& schedule,
-                            const SaPlacerOptions& options) {
-  PlacerContext greedy;
-  greedy.canvas_width = options.canvas_width;
-  greedy.canvas_height = options.canvas_height;
-  greedy.defects = options.defects;
-  return anneal_copy(make_placer("greedy")->place(schedule, greedy).placement,
-                     options);
+                            const PlacerContext& context) {
+  return anneal_copy(place_greedy(schedule, context.canvas_width,
+                                  context.canvas_height, context.defects),
+                     context);
 }
 
 }  // namespace dmfb::oracle

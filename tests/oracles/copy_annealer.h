@@ -20,7 +20,7 @@
 #include "assay/schedule.h"
 #include "core/annealer.h"
 #include "core/placement.h"
-#include "core/sa_placer.h"
+#include "core/placer.h"
 #include "util/rng.h"
 
 namespace dmfb::oracle {
@@ -114,14 +114,14 @@ State anneal(State initial, const AnnealingProblem<State>& problem,
 /// The copying placement engine: anneal() over whole Placement copies,
 /// each proposal made by apply_random_move and priced by
 /// CostEvaluator::cost. The oracle counterpart of dmfb::anneal_from —
-/// same options, same seed, and (by the delta engine's contract) the
+/// same context, same seed, and (by the delta engine's contract) the
 /// same placement, cost and stats.
 PlacementOutcome anneal_copy(const Placement& initial,
-                             const SaPlacerOptions& options);
+                             const PlacerContext& context);
 
 /// Greedy constructive initial (the "greedy" placer) then anneal_copy: the
 /// oracle counterpart of the "sa" placer without a warm start.
 PlacementOutcome place_copy(const Schedule& schedule,
-                            const SaPlacerOptions& options);
+                            const PlacerContext& context);
 
 }  // namespace dmfb::oracle

@@ -4,8 +4,9 @@
 #include <gtest/gtest.h>
 
 #include "assay/assay_library.h"
-#include "assay/synthesis.h"
+#include "assay/scheduler.h"
 #include "core/greedy_placer.h"
+#include "sim/router_backend.h"
 
 namespace dmfb {
 namespace {
@@ -19,14 +20,14 @@ struct Compiled {
 
 Compiled compile_pcr() {
   const auto assay = pcr_mixing_assay();
-  auto synth = synthesize_with_binding(assay.graph, assay.binding,
-                                       assay.scheduler_options);
-  Placement placement = place_greedy(synth.schedule, 16, 16);
-  RoutePlan routes =
-      plan_routes(assay.graph, synth.schedule, placement, 16, 16);
+  Schedule schedule =
+      list_schedule(assay.graph, assay.binding, assay.scheduler_options);
+  Placement placement = place_greedy(schedule, 16, 16);
+  RoutePlan routes = make_router("prioritized")
+                         ->plan(assay.graph, schedule, placement, 16, 16);
   ActuationProgram program =
-      compile_actuation(synth.schedule, placement, routes, 16, 16);
-  return Compiled{std::move(synth.schedule), std::move(placement),
+      compile_actuation(schedule, placement, routes, 16, 16);
+  return Compiled{std::move(schedule), std::move(placement),
                   std::move(routes), std::move(program)};
 }
 

@@ -8,7 +8,7 @@
 #include <utility>
 #include <vector>
 
-#include "assay/synthesis.h"
+#include "assay/scheduler.h"
 #include "core/greedy_placer.h"
 
 namespace dmfb {
@@ -41,12 +41,13 @@ TEST(AssayFormatTest, PcrRoundTrip) {
             original.scheduler_options.insert_storage);
 
   // The parsed assay synthesizes identically.
-  const auto a = synthesize_with_binding(original.graph, original.binding,
-                                         original.scheduler_options);
-  const auto b = synthesize_with_binding(parsed.graph, parsed.binding,
-                                         parsed.scheduler_options);
-  EXPECT_DOUBLE_EQ(a.makespan_s, b.makespan_s);
-  EXPECT_EQ(a.peak_concurrent_cells, b.peak_concurrent_cells);
+  const Schedule a =
+      list_schedule(original.graph, original.binding,
+                    original.scheduler_options);
+  const Schedule b =
+      list_schedule(parsed.graph, parsed.binding, parsed.scheduler_options);
+  EXPECT_DOUBLE_EQ(a.makespan_s(), b.makespan_s());
+  EXPECT_EQ(a.peak_concurrent_cells(), b.peak_concurrent_cells());
 }
 
 TEST(AssayFormatTest, CommentsAndBlankLinesIgnored) {
@@ -113,12 +114,12 @@ TEST(AssayFormatTest, RejectsBadInputs) {
 
 TEST(AssayFormatTest, PlacementRoundTrip) {
   const AssayCase assay = pcr_mixing_assay();
-  const auto synth = synthesize_with_binding(assay.graph, assay.binding,
-                                             assay.scheduler_options);
-  const Placement original = place_greedy(synth.schedule, 20, 20);
+  const Schedule schedule =
+      list_schedule(assay.graph, assay.binding, assay.scheduler_options);
+  const Placement original = place_greedy(schedule, 20, 20);
   const std::string text = placement_to_string(original);
 
-  Placement restored(synth.schedule, 20, 20);
+  Placement restored(schedule, 20, 20);
   apply_placement_from_string(text, restored);
   for (int i = 0; i < original.module_count(); ++i) {
     EXPECT_EQ(restored.module(i).anchor, original.module(i).anchor);
@@ -129,10 +130,10 @@ TEST(AssayFormatTest, PlacementRoundTrip) {
 
 TEST(AssayFormatTest, PlacementRejectsMismatchedCanvas) {
   const AssayCase assay = pcr_mixing_assay();
-  const auto synth = synthesize_with_binding(assay.graph, assay.binding,
-                                             assay.scheduler_options);
-  const Placement original = place_greedy(synth.schedule, 20, 20);
-  Placement other(synth.schedule, 24, 24);
+  const Schedule schedule =
+      list_schedule(assay.graph, assay.binding, assay.scheduler_options);
+  const Placement original = place_greedy(schedule, 20, 20);
+  Placement other(schedule, 24, 24);
   EXPECT_THROW(
       apply_placement_from_string(placement_to_string(original), other),
       ParseError);
@@ -140,9 +141,9 @@ TEST(AssayFormatTest, PlacementRejectsMismatchedCanvas) {
 
 TEST(AssayFormatTest, PlacementRejectsBadIndex) {
   const AssayCase assay = pcr_mixing_assay();
-  const auto synth = synthesize_with_binding(assay.graph, assay.binding,
-                                             assay.scheduler_options);
-  Placement placement(synth.schedule, 20, 20);
+  const Schedule schedule =
+      list_schedule(assay.graph, assay.binding, assay.scheduler_options);
+  Placement placement(schedule, 20, 20);
   EXPECT_THROW(apply_placement_from_string(
                    "placement 20 20\nplace 99 0 0 0\nend\n", placement),
                ParseError);

@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "assay/synthesis.h"
+#include "assay/scheduler.h"
 
 namespace dmfb {
 namespace {
@@ -79,12 +79,12 @@ TEST(PcrBindingTest, MatchesTable1) {
 TEST(PcrAssayTest, SynthesizesWithTwoConcurrentMixers) {
   const auto assay = pcr_mixing_assay();
   EXPECT_EQ(assay.scheduler_options.constraints.max_concurrent_modules, 2);
-  const auto result = synthesize_with_binding(assay.graph, assay.binding,
-                                              assay.scheduler_options);
-  EXPECT_TRUE(result.schedule.validate_against(assay.graph).empty());
-  EXPECT_GT(result.makespan_s, 0.0);
+  const Schedule schedule =
+      list_schedule(assay.graph, assay.binding, assay.scheduler_options);
+  EXPECT_TRUE(schedule.validate_against(assay.graph).empty());
+  EXPECT_GT(schedule.makespan_s(), 0.0);
   // Peak concurrent area must stay below the paper's 63-cell chip.
-  EXPECT_LE(result.peak_concurrent_cells, 63);
+  EXPECT_LE(schedule.peak_concurrent_cells(), 63);
 }
 
 TEST(MultiplexedAssayTest, StructureScalesWithSamplesAndReagents) {
@@ -97,9 +97,9 @@ TEST(MultiplexedAssayTest, StructureScalesWithSamplesAndReagents) {
       EXPECT_EQ(assay.graph.operation_count(), pairs * 5);
       EXPECT_EQ(static_cast<int>(assay.binding.size()), pairs * 2);
       EXPECT_TRUE(assay.graph.is_acyclic());
-      const auto result = synthesize_with_binding(assay.graph, assay.binding,
-                                                  assay.scheduler_options);
-      EXPECT_TRUE(result.schedule.validate_against(assay.graph).empty());
+      const Schedule schedule =
+          list_schedule(assay.graph, assay.binding, assay.scheduler_options);
+      EXPECT_TRUE(schedule.validate_against(assay.graph).empty());
     }
   }
 }
@@ -124,9 +124,9 @@ TEST(ProteinDilutionTest, TreeGrowsWithLevels) {
     if (op.type == OperationType::kDilute) ++dilutors;
   }
   EXPECT_EQ(dilutors, 7);
-  const auto result = synthesize_with_binding(three.graph, three.binding,
-                                              three.scheduler_options);
-  EXPECT_TRUE(result.schedule.validate_against(three.graph).empty());
+  const Schedule schedule =
+      list_schedule(three.graph, three.binding, three.scheduler_options);
+  EXPECT_TRUE(schedule.validate_against(three.graph).empty());
 }
 
 TEST(ProteinDilutionTest, RejectsBadLevels) {
@@ -138,20 +138,19 @@ TEST(ProteinDilutionTest, RejectsBadLevels) {
 TEST(SynthesisTest, AutoBindingFlow) {
   const auto lib = ModuleLibrary::standard();
   const auto graph = pcr_mixing_graph();
-  SynthesisOptions options;
-  options.binding_policy = BindingPolicy::kFastest;
-  const auto result = synthesize(graph, lib, options);
-  EXPECT_EQ(result.binding.size(), 7u);
-  EXPECT_TRUE(result.schedule.validate_against(graph).empty());
-  EXPECT_GT(result.peak_concurrent_cells, 0);
+  const Binding binding = bind_operations(graph, lib, BindingPolicy::kFastest);
+  const Schedule schedule = list_schedule(graph, binding);
+  EXPECT_EQ(binding.size(), 7u);
+  EXPECT_TRUE(schedule.validate_against(graph).empty());
+  EXPECT_GT(schedule.peak_concurrent_cells(), 0);
 }
 
 TEST(SynthesisTest, GanttRendersEveryModule) {
   const auto assay = pcr_mixing_assay();
-  const auto result = synthesize_with_binding(assay.graph, assay.binding,
-                                              assay.scheduler_options);
-  const std::string gantt = render_gantt(result.schedule);
-  for (const auto& m : result.schedule.modules()) {
+  const Schedule schedule =
+      list_schedule(assay.graph, assay.binding, assay.scheduler_options);
+  const std::string gantt = render_gantt(schedule);
+  for (const auto& m : schedule.modules()) {
     EXPECT_NE(gantt.find(m.label), std::string::npos) << m.label;
   }
   EXPECT_NE(gantt.find('#'), std::string::npos);

@@ -3,7 +3,7 @@
 // items through the shared batch seed-split, the in-process worker loop
 // produces results bit-identical to run_many, checkpoint files tolerate
 // torn writes, and resume trusts only checkpoints that match the
-// current manifest. Deprecation-clean by CMake policy.
+// current manifest.
 #include "service/batch.h"
 
 #include <gtest/gtest.h>

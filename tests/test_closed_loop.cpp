@@ -264,7 +264,7 @@ TEST(ClosedLoopTest, DeltaAndCopyEnginesAgreeUnderGamma) {
     const PlacementOutcome delta =
         make_placer("sa")->place(synth.schedule, context);
     const PlacementOutcome copy =
-        oracle::place_copy(synth.schedule, sa_options_from(context));
+        oracle::place_copy(synth.schedule, context);
 
     // The gamma term is exact integer arithmetic in both engines, so the
     // whole trajectory — not just the answer — coincides.
@@ -293,7 +293,7 @@ TEST(ClosedLoopTest, GammaZeroFeedbackZeroIsBitIdenticalToClassicFlow) {
 
   // ...and the copying oracle lands on the very same placement.
   const PlacementOutcome copy =
-      oracle::place_copy(piped.schedule, sa_options_from(context));
+      oracle::place_copy(piped.schedule, context);
   expect_same_placement(piped.placement.placement, copy.placement);
   EXPECT_EQ(piped.placement.cost.value, copy.cost.value);
 }

@@ -3,9 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "assay/assay_library.h"
-#include "assay/synthesis.h"
+#include "assay/scheduler.h"
 #include "core/cost.h"
 #include "core/greedy_placer.h"
+#include "core/placer.h"
 #include "core/sa_placer.h"
 #include "sim/fault.h"
 #include "util/rng.h"
@@ -15,9 +16,7 @@ namespace {
 
 Schedule pcr_schedule() {
   const auto assay = pcr_mixing_assay();
-  return synthesize_with_binding(assay.graph, assay.binding,
-                                 assay.scheduler_options)
-      .schedule;
+  return list_schedule(assay.graph, assay.binding, assay.scheduler_options);
 }
 
 bool placement_avoids(const Placement& placement,
@@ -67,14 +66,14 @@ TEST(DefectAwareTest, GreedyThrowsWhenDefectsBlockEverything) {
 
 TEST(DefectAwareTest, AnnealerPlacesAroundDefects) {
   const Schedule schedule = pcr_schedule();
-  SaPlacerOptions options;
-  options.schedule.initial_temperature = 1000.0;
-  options.schedule.cooling_rate = 0.8;
-  options.schedule.iterations_per_module = 80;
-  options.defects = {Point{3, 3}, Point{8, 8}, Point{15, 4}};
-  const auto outcome = place_simulated_annealing(schedule, options);
+  PlacerContext context;
+  context.annealing.initial_temperature = 1000.0;
+  context.annealing.cooling_rate = 0.8;
+  context.annealing.iterations_per_module = 80;
+  context.defects = {Point{3, 3}, Point{8, 8}, Point{15, 4}};
+  const auto outcome = make_placer("sa")->place(schedule, context);
   EXPECT_TRUE(outcome.placement.feasible());
-  EXPECT_TRUE(placement_avoids(outcome.placement, options.defects));
+  EXPECT_TRUE(placement_avoids(outcome.placement, context.defects));
   EXPECT_EQ(outcome.cost.defect_cells, 0);
 }
 
@@ -86,13 +85,13 @@ TEST(DefectAwareTest, RandomDefectMapsStillPlace) {
     for (int i = 0; i < 4; ++i) {
       defects.push_back(sample_uniform_fault(Rect{0, 0, 24, 24}, rng));
     }
-    SaPlacerOptions options;
-    options.schedule.initial_temperature = 1000.0;
-    options.schedule.cooling_rate = 0.8;
-    options.schedule.iterations_per_module = 60;
-    options.defects = defects;
-    options.seed = rng.next();
-    const auto outcome = place_simulated_annealing(schedule, options);
+    PlacerContext context;
+    context.annealing.initial_temperature = 1000.0;
+    context.annealing.cooling_rate = 0.8;
+    context.annealing.iterations_per_module = 60;
+    context.defects = defects;
+    context.seed = rng.next();
+    const auto outcome = make_placer("sa")->place(schedule, context);
     EXPECT_TRUE(placement_avoids(outcome.placement, defects))
         << "trial " << trial;
   }
@@ -100,13 +99,13 @@ TEST(DefectAwareTest, RandomDefectMapsStillPlace) {
 
 TEST(DefectAwareTest, DefectFreeMapMatchesPlainPlacement) {
   const Schedule schedule = pcr_schedule();
-  SaPlacerOptions options;
-  options.schedule.initial_temperature = 1000.0;
-  options.schedule.cooling_rate = 0.8;
-  options.schedule.iterations_per_module = 60;
-  const auto plain = place_simulated_annealing(schedule, options);
-  options.defects = {};  // explicit empty map
-  const auto with_empty_map = place_simulated_annealing(schedule, options);
+  PlacerContext context;
+  context.annealing.initial_temperature = 1000.0;
+  context.annealing.cooling_rate = 0.8;
+  context.annealing.iterations_per_module = 60;
+  const auto plain = make_placer("sa")->place(schedule, context);
+  context.defects = {};  // explicit empty map
+  const auto with_empty_map = make_placer("sa")->place(schedule, context);
   EXPECT_EQ(plain.cost.area_cells, with_empty_map.cost.area_cells);
 }
 

@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "assay/assay_library.h"
-#include "assay/synthesis.h"
+#include "assay/scheduler.h"
 #include "core/greedy_placer.h"
 #include "util/rng.h"
 
@@ -110,9 +110,9 @@ TEST(FtiTest, RotationEnablesRelocation) {
 
 TEST(FtiTest, FastEvaluatorMatchesReferenceOnPcr) {
   const auto assay = pcr_mixing_assay();
-  const auto synth = synthesize_with_binding(assay.graph, assay.binding,
-                                             assay.scheduler_options);
-  const Placement p = place_greedy(synth.schedule, 16, 16);
+  const Schedule schedule =
+      list_schedule(assay.graph, assay.binding, assay.scheduler_options);
+  const Placement p = place_greedy(schedule, 16, 16);
   const Rect region = p.bounding_box();
   const FtiResult fast = evaluate_fti(p, {}, region);
   long long reference_covered = 0;
@@ -175,9 +175,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FtiRandomPinning, ::testing::Range(0, 10));
 
 TEST(FtiTest, CountOnlyPathAgreesWithFullEvaluation) {
   const auto assay = pcr_mixing_assay();
-  const auto synth = synthesize_with_binding(assay.graph, assay.binding,
-                                             assay.scheduler_options);
-  const Placement p = place_greedy(synth.schedule, 16, 16);
+  const Schedule schedule =
+      list_schedule(assay.graph, assay.binding, assay.scheduler_options);
+  const Placement p = place_greedy(schedule, 16, 16);
   const Rect region = p.bounding_box();
   EXPECT_EQ(covered_cell_count(p, {}, region),
             evaluate_fti(p, {}, region).covered_cells);
@@ -185,9 +185,9 @@ TEST(FtiTest, CountOnlyPathAgreesWithFullEvaluation) {
 
 TEST(FtiTest, FtiBetweenZeroAndOne) {
   const auto assay = pcr_mixing_assay();
-  const auto synth = synthesize_with_binding(assay.graph, assay.binding,
-                                             assay.scheduler_options);
-  const Placement p = place_greedy(synth.schedule, 20, 20);
+  const Schedule schedule =
+      list_schedule(assay.graph, assay.binding, assay.scheduler_options);
+  const Placement p = place_greedy(schedule, 20, 20);
   const auto r = evaluate_fti(p);
   EXPECT_GE(r.fti(), 0.0);
   EXPECT_LE(r.fti(), 1.0);

@@ -5,16 +5,14 @@
 #include <gtest/gtest.h>
 
 #include "assay/assay_library.h"
-#include "assay/synthesis.h"
+#include "assay/scheduler.h"
 
 namespace dmfb {
 namespace {
 
 Schedule pcr_schedule() {
   const auto assay = pcr_mixing_assay();
-  return synthesize_with_binding(assay.graph, assay.binding,
-                                 assay.scheduler_options)
-      .schedule;
+  return list_schedule(assay.graph, assay.binding, assay.scheduler_options);
 }
 
 TEST(GreedyPlacerTest, ProducesFeasiblePlacement) {

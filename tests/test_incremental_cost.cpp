@@ -11,6 +11,7 @@
 
 #include "core/fti.h"
 #include "core/moves.h"
+#include "core/placer.h"
 #include "core/sa_placer.h"
 #include "oracles/copy_annealer.h"
 #include "util/rng.h"
@@ -148,19 +149,19 @@ void run_engine_equivalence(double beta, std::vector<Point> defects,
   const Schedule schedule = mixed_schedule(7, rng);
   const Placement initial = random_placement(schedule, 16, rng);
 
-  SaPlacerOptions options;
-  options.canvas_width = 16;
-  options.canvas_height = 16;
-  options.schedule.initial_temperature = 200.0;
-  options.schedule.cooling_rate = 0.8;
-  options.schedule.iterations_per_module = 30;
-  options.schedule.min_temperature = 0.5;
-  options.weights.beta = beta;
-  options.defects = std::move(defects);
-  options.seed = seed;
+  PlacerContext context;
+  context.canvas_width = 16;
+  context.canvas_height = 16;
+  context.annealing.initial_temperature = 200.0;
+  context.annealing.cooling_rate = 0.8;
+  context.annealing.iterations_per_module = 30;
+  context.annealing.min_temperature = 0.5;
+  context.weights.beta = beta;
+  context.defects = std::move(defects);
+  context.seed = seed;
 
-  const PlacementOutcome copy = oracle::anneal_copy(initial, options);
-  const PlacementOutcome delta = anneal_from(initial, options);
+  const PlacementOutcome copy = oracle::anneal_copy(initial, context);
+  const PlacementOutcome delta = anneal_from(initial, context);
   expect_identical_outcomes(copy, delta);
 }
 

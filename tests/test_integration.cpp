@@ -5,11 +5,11 @@
 
 #include "assay/assay_library.h"
 #include "assay/random_assay.h"
-#include "assay/synthesis.h"
+#include "assay/scheduler.h"
 #include "core/fti.h"
 #include "core/greedy_placer.h"
+#include "core/placer.h"
 #include "core/sa_placer.h"
-#include "core/two_stage_placer.h"
 #include "sim/fault.h"
 #include "sim/recovery.h"
 #include "sim/simulator.h"
@@ -19,24 +19,24 @@
 namespace dmfb {
 namespace {
 
-SaPlacerOptions fast_sa() {
-  SaPlacerOptions options;
-  options.schedule.initial_temperature = 1000.0;
-  options.schedule.cooling_rate = 0.8;
-  options.schedule.iterations_per_module = 80;
-  return options;
+PlacerContext fast_sa() {
+  PlacerContext context;
+  context.annealing.initial_temperature = 1000.0;
+  context.annealing.cooling_rate = 0.8;
+  context.annealing.iterations_per_module = 80;
+  return context;
 }
 
 TEST(IntegrationTest, PcrFullFlowMatchesPaperShape) {
   // Synthesis.
   const auto assay = pcr_mixing_assay();
-  const auto synth = synthesize_with_binding(assay.graph, assay.binding,
-                                             assay.scheduler_options);
-  ASSERT_TRUE(synth.schedule.validate_against(assay.graph).empty());
+  const Schedule schedule =
+      list_schedule(assay.graph, assay.binding, assay.scheduler_options);
+  ASSERT_TRUE(schedule.validate_against(assay.graph).empty());
 
   // Baseline greedy vs annealed placement: SA must not be worse.
-  const Placement greedy = place_greedy(synth.schedule, 24, 24);
-  const auto sa = place_simulated_annealing(synth.schedule, fast_sa());
+  const Placement greedy = place_greedy(schedule, 24, 24);
+  const auto sa = make_placer("sa")->place(schedule, fast_sa());
   EXPECT_LE(sa.cost.area_cells, greedy.bounding_box_cells());
 
   // Compact placements are fault-fragile (the paper's §6.2 observation).
@@ -44,29 +44,28 @@ TEST(IntegrationTest, PcrFullFlowMatchesPaperShape) {
   EXPECT_LT(sa_fti, 0.5);
 
   // Two-stage trades area for fault tolerance.
-  TwoStageOptions two_options;
-  two_options.beta = 30.0;
-  two_options.stage1 = fast_sa();
-  two_options.ltsa.iterations_per_module = 80;
-  two_options.ltsa.cooling_rate = 0.8;
-  const auto two = place_two_stage(synth.schedule, two_options);
-  const double two_fti = evaluate_fti(two.stage2.placement).fti();
+  PlacerContext two_context = fast_sa();
+  two_context.two_stage_beta = 30.0;
+  two_context.ltsa.iterations_per_module = 80;
+  two_context.ltsa.cooling_rate = 0.8;
+  const auto two = make_placer("two-stage")->place(schedule, two_context);
+  const double two_fti = evaluate_fti(two.placement).fti();
   EXPECT_GT(two_fti, sa_fti);
-  EXPECT_GE(two.stage2.cost.area_cells, sa.cost.area_cells);
+  EXPECT_GE(two.cost.area_cells, sa.cost.area_cells);
 
   // The enhanced placement actually executes.
   const Chip chip(24, 24);
   const Simulator simulator;
-  const auto run = simulator.run(assay.graph, synth.schedule,
-                                 two.stage2.placement, chip);
+  const auto run = simulator.run(assay.graph, schedule,
+                                 two.placement, chip);
   EXPECT_TRUE(run.success) << run.failure_reason;
 }
 
 TEST(IntegrationTest, DetectThenRecoverPipeline) {
   const auto assay = pcr_mixing_assay();
-  const auto synth = synthesize_with_binding(assay.graph, assay.binding,
-                                             assay.scheduler_options);
-  const Placement placement = place_greedy(synth.schedule, 20, 20);
+  const Schedule schedule =
+      list_schedule(assay.graph, assay.binding, assay.scheduler_options);
+  const Placement placement = place_greedy(schedule, 20, 20);
   const Rect array{0, 0, 20, 20};
 
   // Fault under a module of the first time slice.
@@ -93,24 +92,24 @@ TEST(IntegrationTest, DetectThenRecoverPipeline) {
   // 3. The assay completes on the repaired placement.
   const Simulator simulator;
   const auto run =
-      simulator.run(assay.graph, synth.schedule, recovery.placement, chip);
+      simulator.run(assay.graph, schedule, recovery.placement, chip);
   EXPECT_TRUE(run.success) << run.failure_reason;
 }
 
 TEST(IntegrationTest, MultiplexedDiagnosticsEndToEnd) {
   const auto lib = ModuleLibrary::standard();
   const auto assay = multiplexed_diagnostics_assay(2, 2, lib);
-  const auto synth = synthesize_with_binding(assay.graph, assay.binding,
-                                             assay.scheduler_options);
-  ASSERT_TRUE(synth.schedule.validate_against(assay.graph).empty());
+  const Schedule schedule =
+      list_schedule(assay.graph, assay.binding, assay.scheduler_options);
+  ASSERT_TRUE(schedule.validate_against(assay.graph).empty());
 
-  const auto sa = place_simulated_annealing(synth.schedule, fast_sa());
+  const auto sa = make_placer("sa")->place(schedule, fast_sa());
   ASSERT_TRUE(sa.placement.feasible());
 
   const Chip chip(24, 24);
   const Simulator simulator;
   const auto run =
-      simulator.run(assay.graph, synth.schedule, sa.placement, chip);
+      simulator.run(assay.graph, schedule, sa.placement, chip);
   EXPECT_TRUE(run.success) << run.failure_reason;
 
   // Every mix output contains its sample and reagent at 50% each.
@@ -136,17 +135,17 @@ TEST_P(RandomAssayIntegration, SynthesizePlaceSimulate) {
   params.max_layer_width = 3;
   const auto assay = random_assay(params, lib, rng);
 
-  const auto synth = synthesize_with_binding(assay.graph, assay.binding,
-                                             assay.scheduler_options);
-  ASSERT_TRUE(synth.schedule.validate_against(assay.graph).empty());
+  const Schedule schedule =
+      list_schedule(assay.graph, assay.binding, assay.scheduler_options);
+  ASSERT_TRUE(schedule.validate_against(assay.graph).empty());
 
-  SaPlacerOptions options = fast_sa();
-  options.canvas_width = 32;
-  options.canvas_height = 32;
-  options.seed = rng.next();
-  const auto sa = place_simulated_annealing(synth.schedule, options);
+  PlacerContext context = fast_sa();
+  context.canvas_width = 32;
+  context.canvas_height = 32;
+  context.seed = rng.next();
+  const auto sa = make_placer("sa")->place(schedule, context);
   ASSERT_TRUE(sa.placement.feasible());
-  EXPECT_GE(sa.cost.area_cells, synth.schedule.peak_concurrent_cells());
+  EXPECT_GE(sa.cost.area_cells, schedule.peak_concurrent_cells());
 
   // FTI and campaign agree on whatever came out.
   const Rect array = sa.placement.bounding_box();
@@ -163,14 +162,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomAssayIntegration,
 TEST(IntegrationTest, ProteinDilutionFullFlow) {
   const auto lib = ModuleLibrary::standard();
   const auto assay = protein_dilution_assay(3, lib);
-  const auto synth = synthesize_with_binding(assay.graph, assay.binding,
-                                             assay.scheduler_options);
-  const auto sa = place_simulated_annealing(synth.schedule, fast_sa());
+  const Schedule schedule =
+      list_schedule(assay.graph, assay.binding, assay.scheduler_options);
+  const auto sa = make_placer("sa")->place(schedule, fast_sa());
   ASSERT_TRUE(sa.placement.feasible());
   const Chip chip(24, 24);
   const Simulator simulator;
   const auto run =
-      simulator.run(assay.graph, synth.schedule, sa.placement, chip);
+      simulator.run(assay.graph, schedule, sa.placement, chip);
   EXPECT_TRUE(run.success) << run.failure_reason;
   // Leaf dilutions reach protein fraction 1/8.
   double min_fraction = 1.0;

@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "assay/synthesis.h"
+#include "assay/scheduler.h"
 #include "core/greedy_placer.h"
 #include "sim/simulator.h"
 
@@ -13,13 +13,13 @@ namespace dmfb {
 namespace {
 
 double simulate_final_concentration(const AssayCase& assay) {
-  const auto synth = synthesize_with_binding(assay.graph, assay.binding,
-                                             assay.scheduler_options);
-  const Placement placement = place_greedy(synth.schedule, 24, 24);
+  const Schedule schedule =
+      list_schedule(assay.graph, assay.binding, assay.scheduler_options);
+  const Placement placement = place_greedy(schedule, 24, 24);
   const Chip chip(24, 24);
   const Simulator simulator;
   const auto run =
-      simulator.run(assay.graph, synth.schedule, placement, chip);
+      simulator.run(assay.graph, schedule, placement, chip);
   EXPECT_TRUE(run.success) << run.failure_reason;
   // The last dilute op's output is the target droplet.
   double fraction = -1.0;
@@ -100,9 +100,9 @@ TEST(MixingTreeTest, DetectorAppendedWhenRequested) {
     if (op.type == OperationType::kDetect) has_detector = true;
   }
   EXPECT_TRUE(has_detector);
-  const auto synth = synthesize_with_binding(assay.graph, assay.binding,
-                                             assay.scheduler_options);
-  EXPECT_TRUE(synth.schedule.validate_against(assay.graph).empty());
+  const Schedule schedule =
+      list_schedule(assay.graph, assay.binding, assay.scheduler_options);
+  EXPECT_TRUE(schedule.validate_against(assay.graph).empty());
 }
 
 TEST(MixingTreeTest, ChainUsesMinimalSteps) {

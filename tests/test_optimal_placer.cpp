@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/greedy_placer.h"
+#include "core/placer.h"
 #include "core/sa_placer.h"
 #include "util/rng.h"
 
@@ -117,12 +118,12 @@ TEST(OptimalPlacerTest, SaMatchesOptimumOnSmallInstances) {
     }
     const auto optimal = place_optimal(s);
 
-    SaPlacerOptions options;
-    options.schedule.initial_temperature = 1000.0;
-    options.schedule.cooling_rate = 0.85;
-    options.schedule.iterations_per_module = 200;
-    options.seed = rng.next();
-    const auto sa = place_simulated_annealing(s, options);
+    PlacerContext context;
+    context.annealing.initial_temperature = 1000.0;
+    context.annealing.cooling_rate = 0.85;
+    context.annealing.iterations_per_module = 200;
+    context.seed = rng.next();
+    const auto sa = make_placer("sa")->place(s, context);
     EXPECT_EQ(sa.cost.area_cells, optimal.area_cells) << "trial " << trial;
   }
 }

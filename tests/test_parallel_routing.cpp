@@ -4,8 +4,7 @@
 // from the run seed by changeover index — so a plan must be identical
 // whether the changeovers were solved by 1 worker or 4. Runs against
 // every registered backend, directly and through the pipeline
-// (PipelineOptions::routing.threads). No DMFB_SUPPRESS_DEPRECATION:
-// the new API alone must cover this.
+// (PipelineOptions::routing.threads).
 #include <gtest/gtest.h>
 
 #include <sstream>

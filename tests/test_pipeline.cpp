@@ -1,16 +1,14 @@
 // Tests for the SynthesisPipeline facade (assay/pipeline.h): the
-// end-to-end driver matches the hand-wired legacy flow exactly, stages
-// report through the observer in order, run_many is reproducible from one
-// seed, and results carry every stage's artifacts. Compiled without
-// DMFB_SUPPRESS_DEPRECATION except where this file deliberately compares
-// against the legacy path.
+// end-to-end driver matches the hand-wired schedule -> place flow
+// exactly, stages report through the observer in order, run_many is
+// reproducible from one seed, and results carry every stage's artifacts.
 #include "assay/pipeline.h"
 
 #include <gtest/gtest.h>
 
 #include "assay/assay_library.h"
 #include "assay/random_assay.h"
-#include "assay/synthesis.h"
+#include "assay/scheduler.h"
 #include "core/sa_placer.h"
 #include "util/rng.h"
 
@@ -60,27 +58,22 @@ TEST(PipelineTest, QuickstartAssayEndToEnd) {
             result.stage_seconds(PipelineStage::kPlace));
 }
 
-// This test intentionally drives the deprecated free functions to prove
-// the facade is a faithful wrapper; silence the deprecation for it alone.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(PipelineTest, MatchesHandWiredLegacyFlow) {
-  // The pipeline with the "sa" backend must reproduce the legacy
-  // hand-wired path bit-for-bit given the same seed.
+TEST(PipelineTest, MatchesHandWiredFlow) {
+  // The pipeline with the "sa" backend must reproduce the hand-wired
+  // schedule -> place path bit-for-bit given the same seed.
   const AssayCase assay = pcr_mixing_assay();
   PipelineOptions options = fast_options();
   options.seed = 1234;
   const PipelineResult piped = SynthesisPipeline(options).run(assay);
 
-  const SynthesisResult synth = synthesize_with_binding(
-      assay.graph, assay.binding, assay.scheduler_options);
-  SaPlacerOptions legacy = sa_options_from(options.placer_context);
-  legacy.seed = 1234;
-  const PlacementOutcome hand = place_simulated_annealing(synth.schedule,
-                                                          legacy);
+  const Schedule schedule =
+      list_schedule(assay.graph, assay.binding, assay.scheduler_options);
+  PlacerContext context = options.placer_context;
+  context.seed = 1234;
+  const PlacementOutcome hand = make_placer("sa")->place(schedule, context);
 
-  EXPECT_EQ(piped.makespan_s, synth.makespan_s);
-  EXPECT_EQ(piped.schedule.module_count(), synth.schedule.module_count());
+  EXPECT_EQ(piped.makespan_s, schedule.makespan_s());
+  EXPECT_EQ(piped.schedule.module_count(), schedule.module_count());
   EXPECT_EQ(piped.placement.cost.area_cells, hand.cost.area_cells);
   ASSERT_EQ(piped.placement.placement.module_count(),
             hand.placement.module_count());
@@ -91,7 +84,6 @@ TEST(PipelineTest, MatchesHandWiredLegacyFlow) {
               hand.placement.module(i).rotated);
   }
 }
-#pragma GCC diagnostic pop
 
 TEST(PipelineTest, ReproducibleFromOneSeed) {
   PipelineOptions options = fast_options();

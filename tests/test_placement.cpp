@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "assay/assay_library.h"
-#include "assay/synthesis.h"
+#include "assay/scheduler.h"
 
 namespace dmfb {
 namespace {
@@ -145,10 +145,10 @@ TEST(PlacementTest, RenderMentionsEverySliceAndModule) {
 
 TEST(PlacementTest, PcrPlacementHasExpectedModuleCount) {
   const auto assay = pcr_mixing_assay();
-  const auto synth = synthesize_with_binding(assay.graph, assay.binding,
-                                             assay.scheduler_options);
-  const Placement p(synth.schedule, 24, 24);
-  EXPECT_EQ(p.module_count(), synth.schedule.module_count());
+  const Schedule schedule =
+      list_schedule(assay.graph, assay.binding, assay.scheduler_options);
+  const Placement p(schedule, 24, 24);
+  EXPECT_EQ(p.module_count(), schedule.module_count());
   EXPECT_GE(p.module_count(), 7);  // 7 mixers + inserted storage
 }
 

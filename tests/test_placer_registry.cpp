@@ -1,9 +1,7 @@
 // Tests for the polymorphic placer interface and its string-keyed registry
 // (core/placer.h): the five built-ins resolve by name and produce feasible
 // placements, unknown names fail with the known-name list, and the
-// user-facing enums round-trip through text. This file compiles without
-// DMFB_SUPPRESS_DEPRECATION on purpose: the new API must be usable without
-// touching any deprecated free function.
+// user-facing enums round-trip through text.
 #include "core/placer.h"
 
 #include <gtest/gtest.h>

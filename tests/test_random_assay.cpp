@@ -3,7 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include "assay/synthesis.h"
+#include "assay/scheduler.h"
 
 namespace dmfb {
 namespace {
@@ -73,10 +73,10 @@ TEST(RandomAssayTest, SynthesizesEndToEnd) {
   RandomAssayParams params;
   params.mix_operations = 9;
   const auto assay = random_assay(params, lib, rng);
-  const auto result = synthesize_with_binding(assay.graph, assay.binding,
-                                              assay.scheduler_options);
-  EXPECT_TRUE(result.schedule.validate_against(assay.graph).empty());
-  EXPECT_GT(result.makespan_s, 0.0);
+  const Schedule schedule =
+      list_schedule(assay.graph, assay.binding, assay.scheduler_options);
+  EXPECT_TRUE(schedule.validate_against(assay.graph).empty());
+  EXPECT_GT(schedule.makespan_s(), 0.0);
 }
 
 TEST(RandomAssayTest, RejectsBadParams) {

@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "assay/assay_library.h"
-#include "assay/synthesis.h"
+#include "assay/scheduler.h"
 #include "core/fti.h"
 #include "core/greedy_placer.h"
 #include "sim/fault.h"
@@ -162,9 +162,9 @@ TEST(ReconfigTest, RecoverAgreementWithFtiOnPcr) {
   // evaluator calls the cell covered. This pins the production engine to
   // the metric the placer optimizes.
   const auto assay = pcr_mixing_assay();
-  const auto synth = synthesize_with_binding(assay.graph, assay.binding,
-                                             assay.scheduler_options);
-  const Placement p = place_greedy(synth.schedule, 14, 14);
+  const Schedule schedule =
+      list_schedule(assay.graph, assay.binding, assay.scheduler_options);
+  const Placement p = place_greedy(schedule, 14, 14);
   const Rect array = p.bounding_box();
   const Reconfigurator reconfig;
   const FtiResult fti = evaluate_fti(p, {}, array);
@@ -179,9 +179,9 @@ TEST(ReconfigTest, RecoverAgreementWithFtiOnPcr) {
 
 TEST(ReconfigTest, RecoveredPlacementStaysFeasibleAndInArray) {
   const auto assay = pcr_mixing_assay();
-  const auto synth = synthesize_with_binding(assay.graph, assay.binding,
-                                             assay.scheduler_options);
-  const Placement p = place_greedy(synth.schedule, 16, 16);
+  const Schedule schedule =
+      list_schedule(assay.graph, assay.binding, assay.scheduler_options);
+  const Placement p = place_greedy(schedule, 16, 16);
   const Rect array = p.bounding_box().inflated(1).intersection(
       Rect{0, 0, 16, 16});
   const Reconfigurator reconfig;

@@ -10,9 +10,8 @@
 #include <vector>
 
 #include "assay/assay_library.h"
-#include "assay/synthesis.h"
+#include "assay/scheduler.h"
 #include "core/greedy_placer.h"
-#include "core/two_stage_placer.h"
 #include "sim/fault.h"
 #include "util/rng.h"
 
@@ -27,10 +26,10 @@ struct PcrSetup {
 
 PcrSetup pcr_setup(int canvas = 16) {
   const auto assay = pcr_mixing_assay();
-  auto synth = synthesize_with_binding(assay.graph, assay.binding,
-                                       assay.scheduler_options);
-  Placement placement = place_greedy(synth.schedule, canvas, canvas);
-  return PcrSetup{assay.graph, std::move(synth.schedule),
+  Schedule schedule =
+      list_schedule(assay.graph, assay.binding, assay.scheduler_options);
+  Placement placement = place_greedy(schedule, canvas, canvas);
+  return PcrSetup{assay.graph, std::move(schedule),
                   std::move(placement)};
 }
 
@@ -92,19 +91,19 @@ TEST(RecoveryTest, CampaignMatchesFtiExactly) {
 
 TEST(RecoveryTest, CampaignMatchesFtiOnTwoStagePlacement) {
   const auto setup = pcr_setup();
-  TwoStageOptions options;
-  options.beta = 30.0;
-  options.stage1.schedule.iterations_per_module = 60;
-  options.stage1.schedule.initial_temperature = 1000.0;
-  options.stage1.schedule.cooling_rate = 0.8;
-  options.ltsa.iterations_per_module = 60;
-  options.ltsa.cooling_rate = 0.8;
-  const auto outcome = place_two_stage(setup.schedule, options);
-  const Rect array = outcome.stage2.placement.bounding_box();
+  PlacerContext context;
+  context.two_stage_beta = 30.0;
+  context.annealing.iterations_per_module = 60;
+  context.annealing.initial_temperature = 1000.0;
+  context.annealing.cooling_rate = 0.8;
+  context.ltsa.iterations_per_module = 60;
+  context.ltsa.cooling_rate = 0.8;
+  const auto outcome = make_placer("two-stage")->place(setup.schedule, context);
+  const Rect array = outcome.placement.bounding_box();
   const Reconfigurator reconfig;
   const auto campaign =
-      exhaustive_fault_campaign(outcome.stage2.placement, array, reconfig);
-  const FtiResult fti = evaluate_fti(outcome.stage2.placement, {}, array);
+      exhaustive_fault_campaign(outcome.placement, array, reconfig);
+  const FtiResult fti = evaluate_fti(outcome.placement, {}, array);
   EXPECT_EQ(campaign.survivable_cells, fti.covered_cells);
 }
 

@@ -7,7 +7,7 @@
 #include <cmath>
 
 #include "assay/assay_library.h"
-#include "assay/synthesis.h"
+#include "assay/scheduler.h"
 #include "core/greedy_placer.h"
 
 namespace dmfb {
@@ -51,9 +51,9 @@ TEST(ReliabilityTest, ZeroFtiMeansOnlyNoFaultTermSurvives) {
 
 TEST(ReliabilityTest, SurvivalDecreasesWithFailureProbability) {
   const auto assay = pcr_mixing_assay();
-  const auto synth = synthesize_with_binding(assay.graph, assay.binding,
-                                             assay.scheduler_options);
-  const Placement p = place_greedy(synth.schedule, 16, 16);
+  const Schedule schedule =
+      list_schedule(assay.graph, assay.binding, assay.scheduler_options);
+  const Placement p = place_greedy(schedule, 16, 16);
   const Rect array = p.bounding_box();
   double last = 1.1;
   for (const double prob : {0.001, 0.005, 0.02, 0.05}) {
@@ -93,9 +93,9 @@ TEST(ReliabilityTest, MonteCarloAgreesWithAnalyticAtTinyP) {
   // With p so small that two faults are (almost) never sampled, the Monte
   // Carlo estimate must match the analytic single-fault survival closely.
   const auto assay = pcr_mixing_assay();
-  const auto synth = synthesize_with_binding(assay.graph, assay.binding,
-                                             assay.scheduler_options);
-  const Placement p = place_greedy(synth.schedule, 16, 16);
+  const Schedule schedule =
+      list_schedule(assay.graph, assay.binding, assay.scheduler_options);
+  const Placement p = place_greedy(schedule, 16, 16);
   const Rect array = p.bounding_box();
   const double prob = 0.002;
   Rng rng(7);

@@ -6,9 +6,11 @@
 
 #include "assay/assay_library.h"
 #include "assay/random_assay.h"
-#include "assay/synthesis.h"
+#include "assay/scheduler.h"
 #include "core/greedy_placer.h"
+#include "core/placer.h"
 #include "core/sa_placer.h"
+#include "sim/router_backend.h"
 #include "util/rng.h"
 
 namespace dmfb {
@@ -22,11 +24,20 @@ struct PcrSetup {
 
 PcrSetup pcr_setup(int canvas = 16) {
   const auto assay = pcr_mixing_assay();
-  auto synth = synthesize_with_binding(assay.graph, assay.binding,
-                                       assay.scheduler_options);
-  Placement placement = place_greedy(synth.schedule, canvas, canvas);
-  return PcrSetup{assay.graph, std::move(synth.schedule),
+  Schedule schedule =
+      list_schedule(assay.graph, assay.binding, assay.scheduler_options);
+  Placement placement = place_greedy(schedule, canvas, canvas);
+  return PcrSetup{assay.graph, std::move(schedule),
                   std::move(placement)};
+}
+
+/// The classic prioritized planner, through its registry backend.
+RoutePlan prioritized_plan(const SequencingGraph& graph,
+                           const Schedule& schedule,
+                           const Placement& placement, int chip_width,
+                           int chip_height) {
+  return make_router("prioritized")
+      ->plan(graph, schedule, placement, chip_width, chip_height);
 }
 
 /// Blocked grid mirroring the planner's changeover rule (strict interval).
@@ -45,7 +56,7 @@ Matrix<std::uint8_t> blocked_at(const Placement& placement, double t, int w,
 TEST(RoutePlannerTest, PcrPlanSucceedsAndValidates) {
   const auto setup = pcr_setup();
   const RoutePlan plan =
-      plan_routes(setup.graph, setup.schedule, setup.placement, 16, 16);
+      prioritized_plan(setup.graph, setup.schedule, setup.placement, 16, 16);
   ASSERT_TRUE(plan.success) << plan.failure_reason;
   EXPECT_FALSE(plan.changeovers.empty());
   for (const auto& changeover : plan.changeovers) {
@@ -60,7 +71,7 @@ TEST(RoutePlannerTest, PcrPlanSucceedsAndValidates) {
 TEST(RoutePlannerTest, RoutesStartAndEndWhereRequested) {
   const auto setup = pcr_setup();
   const RoutePlan plan =
-      plan_routes(setup.graph, setup.schedule, setup.placement, 16, 16);
+      prioritized_plan(setup.graph, setup.schedule, setup.placement, 16, 16);
   ASSERT_TRUE(plan.success);
   for (const auto& changeover : plan.changeovers) {
     for (const auto& route : changeover.routes) {
@@ -75,7 +86,7 @@ TEST(RoutePlannerTest, RoutesStartAndEndWhereRequested) {
 TEST(RoutePlannerTest, TotalStepsAndTransportTime) {
   const auto setup = pcr_setup();
   const RoutePlan plan =
-      plan_routes(setup.graph, setup.schedule, setup.placement, 16, 16);
+      prioritized_plan(setup.graph, setup.schedule, setup.placement, 16, 16);
   ASSERT_TRUE(plan.success);
   EXPECT_GT(plan.total_steps, 0);
   EXPECT_GT(plan.total_transport_seconds(13.0), 0.0);
@@ -119,7 +130,7 @@ TEST(RoutePlannerTest, MergingDropletsMayShareTarget) {
   const Schedule schedule = list_schedule(g, binding, {});
   Placement placement(schedule, 10, 10);
   placement.set_anchor(0, {3, 3});
-  const RoutePlan plan = plan_routes(g, schedule, placement, 10, 10);
+  const RoutePlan plan = prioritized_plan(g, schedule, placement, 10, 10);
   ASSERT_TRUE(plan.success) << plan.failure_reason;
   ASSERT_EQ(plan.changeovers.size(), 1u);
   EXPECT_EQ(plan.changeovers.front().routes.size(), 2u);
@@ -146,7 +157,7 @@ TEST(RoutePlannerTest, SeparationEnforcedForUnrelatedDroplets) {
   Placement placement(schedule, 14, 14);
   placement.set_anchor(0, {1, 1});
   placement.set_anchor(1, {9, 9});
-  const RoutePlan plan = plan_routes(g, schedule, placement, 14, 14);
+  const RoutePlan plan = prioritized_plan(g, schedule, placement, 14, 14);
   ASSERT_TRUE(plan.success) << plan.failure_reason;
   for (const auto& changeover : plan.changeovers) {
     const auto blocked = blocked_at(placement, changeover.time_s, 14, 14);
@@ -157,23 +168,23 @@ TEST(RoutePlannerTest, SeparationEnforcedForUnrelatedDroplets) {
 TEST(RoutePlannerTest, ChipTooSmallThrows) {
   const auto setup = pcr_setup();
   EXPECT_THROW(
-      plan_routes(setup.graph, setup.schedule, setup.placement, 4, 4),
+      prioritized_plan(setup.graph, setup.schedule, setup.placement, 4, 4),
       std::invalid_argument);
 }
 
 TEST(RoutePlannerTest, AnnealedPlacementsAreRoutable) {
   // Routing over the compact SA placement: tighter but should still plan.
   const auto assay = pcr_mixing_assay();
-  const auto synth = synthesize_with_binding(assay.graph, assay.binding,
-                                             assay.scheduler_options);
-  SaPlacerOptions options;
-  options.schedule.initial_temperature = 1000.0;
-  options.schedule.cooling_rate = 0.8;
-  options.schedule.iterations_per_module = 80;
-  const auto sa = place_simulated_annealing(synth.schedule, options);
-  const RoutePlan plan = plan_routes(assay.graph, synth.schedule,
-                                     sa.placement, options.canvas_width,
-                                     options.canvas_height);
+  const Schedule schedule =
+      list_schedule(assay.graph, assay.binding, assay.scheduler_options);
+  PlacerContext context;
+  context.annealing.initial_temperature = 1000.0;
+  context.annealing.cooling_rate = 0.8;
+  context.annealing.iterations_per_module = 80;
+  const auto sa = make_placer("sa")->place(schedule, context);
+  const RoutePlan plan =
+      prioritized_plan(assay.graph, schedule, sa.placement,
+                       context.canvas_width, context.canvas_height);
   EXPECT_TRUE(plan.success) << plan.failure_reason;
 }
 
@@ -185,11 +196,11 @@ TEST_P(RoutePlannerRandomized, PlansValidateWheneverTheySucceed) {
   RandomAssayParams params;
   params.mix_operations = 4 + static_cast<int>(rng.next_below(5));
   const auto assay = random_assay(params, lib, rng);
-  const auto synth = synthesize_with_binding(assay.graph, assay.binding,
-                                             assay.scheduler_options);
-  const Placement placement = place_greedy(synth.schedule, 24, 24);
+  const Schedule schedule =
+      list_schedule(assay.graph, assay.binding, assay.scheduler_options);
+  const Placement placement = place_greedy(schedule, 24, 24);
   const RoutePlan plan =
-      plan_routes(assay.graph, synth.schedule, placement, 24, 24);
+      prioritized_plan(assay.graph, schedule, placement, 24, 24);
   if (!plan.success) {
     // Prioritized planning is incomplete; failure is allowed but must be
     // explained.

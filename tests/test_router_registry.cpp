@@ -3,9 +3,7 @@
 // merge-at-same-target exemption, the 2-cell Chebyshev dynamic rule
 // against *previous* positions, and a forced yield at a crossing — run
 // identically against every registered backend (the shared conformance
-// suite, like test_placer_registry). This file compiles without
-// DMFB_SUPPRESS_DEPRECATION on purpose: the new API must be usable
-// without touching any deprecated free function.
+// suite, like test_placer_registry).
 #include "sim/router_backend.h"
 
 #include <gtest/gtest.h>

@@ -8,8 +8,9 @@
 #include <limits>
 
 #include "assay/assay_library.h"
-#include "assay/synthesis.h"
+#include "assay/scheduler.h"
 #include "core/greedy_placer.h"
+#include "core/placer.h"
 #include "oracles/copy_annealer.h"
 
 namespace dmfb {
@@ -17,23 +18,21 @@ namespace {
 
 Schedule pcr_schedule() {
   const auto assay = pcr_mixing_assay();
-  return synthesize_with_binding(assay.graph, assay.binding,
-                                 assay.scheduler_options)
-      .schedule;
+  return list_schedule(assay.graph, assay.binding, assay.scheduler_options);
 }
 
-SaPlacerOptions fast_options() {
-  SaPlacerOptions options;
-  options.schedule.initial_temperature = 1000.0;
-  options.schedule.cooling_rate = 0.8;
-  options.schedule.iterations_per_module = 60;
-  options.schedule.min_temperature = 0.1;
-  return options;
+PlacerContext fast_context() {
+  PlacerContext context;
+  context.annealing.initial_temperature = 1000.0;
+  context.annealing.cooling_rate = 0.8;
+  context.annealing.iterations_per_module = 60;
+  context.annealing.min_temperature = 0.1;
+  return context;
 }
 
 TEST(SaPlacerTest, ResultIsFeasible) {
-  const auto outcome = place_simulated_annealing(pcr_schedule(),
-                                                 fast_options());
+  const auto outcome =
+      make_placer("sa")->place(pcr_schedule(), fast_context());
   EXPECT_TRUE(outcome.placement.feasible());
   EXPECT_EQ(outcome.cost.overlap_cells, 0);
 }
@@ -41,24 +40,22 @@ TEST(SaPlacerTest, ResultIsFeasible) {
 TEST(SaPlacerTest, ImprovesOnGreedyInitialArea) {
   const Schedule schedule = pcr_schedule();
   const Placement greedy = place_greedy(schedule, 24, 24);
-  const auto outcome =
-      place_simulated_annealing(schedule, fast_options());
+  const auto outcome = make_placer("sa")->place(schedule, fast_context());
   EXPECT_LE(outcome.cost.area_cells, greedy.bounding_box_cells());
 }
 
 TEST(SaPlacerTest, AreaNeverBelowPeakConcurrentCells) {
   const Schedule schedule = pcr_schedule();
-  const auto outcome =
-      place_simulated_annealing(schedule, fast_options());
+  const auto outcome = make_placer("sa")->place(schedule, fast_context());
   EXPECT_GE(outcome.cost.area_cells, schedule.peak_concurrent_cells());
 }
 
 TEST(SaPlacerTest, DeterministicForSeed) {
   const Schedule schedule = pcr_schedule();
-  SaPlacerOptions options = fast_options();
-  options.seed = 42;
-  const auto a = place_simulated_annealing(schedule, options);
-  const auto b = place_simulated_annealing(schedule, options);
+  PlacerContext context = fast_context();
+  context.seed = 42;
+  const auto a = make_placer("sa")->place(schedule, context);
+  const auto b = make_placer("sa")->place(schedule, context);
   EXPECT_EQ(a.cost.area_cells, b.cost.area_cells);
   for (int i = 0; i < a.placement.module_count(); ++i) {
     EXPECT_EQ(a.placement.module(i).anchor, b.placement.module(i).anchor);
@@ -67,11 +64,11 @@ TEST(SaPlacerTest, DeterministicForSeed) {
 
 TEST(SaPlacerTest, DifferentSeedsExploreDifferently) {
   const Schedule schedule = pcr_schedule();
-  SaPlacerOptions options = fast_options();
-  options.seed = 1;
-  const auto a = place_simulated_annealing(schedule, options);
-  options.seed = 2;
-  const auto b = place_simulated_annealing(schedule, options);
+  PlacerContext context = fast_context();
+  context.seed = 1;
+  const auto a = make_placer("sa")->place(schedule, context);
+  context.seed = 2;
+  const auto b = make_placer("sa")->place(schedule, context);
   bool any_difference = a.cost.area_cells != b.cost.area_cells;
   for (int i = 0; !any_difference && i < a.placement.module_count(); ++i) {
     any_difference =
@@ -82,7 +79,7 @@ TEST(SaPlacerTest, DifferentSeedsExploreDifferently) {
 
 TEST(SaPlacerTest, StatsReflectRun) {
   const auto outcome =
-      place_simulated_annealing(pcr_schedule(), fast_options());
+      make_placer("sa")->place(pcr_schedule(), fast_context());
   EXPECT_GT(outcome.stats.proposals, 0);
   EXPECT_GT(outcome.stats.accepted, 0);
   EXPECT_GT(outcome.stats.temperature_steps, 0);
@@ -94,8 +91,8 @@ TEST(SaPlacerTest, StatsReflectRun) {
 TEST(SaPlacerTest, AnnealFromRefinesGivenPlacement) {
   const Schedule schedule = pcr_schedule();
   const Placement start = place_greedy(schedule, 24, 24);
-  SaPlacerOptions options = fast_options();
-  const auto outcome = anneal_from(start, options);
+  PlacerContext context = fast_context();
+  const auto outcome = anneal_from(start, context);
   EXPECT_TRUE(outcome.placement.feasible());
   EXPECT_LE(outcome.cost.area_cells, start.bounding_box_cells());
 }
@@ -104,10 +101,10 @@ TEST(SaPlacerTest, TinyCanvasStillFeasible) {
   // Canvas barely larger than the peak footprint: annealing must keep a
   // feasible answer (the greedy initial placement).
   const Schedule schedule = pcr_schedule();
-  SaPlacerOptions options = fast_options();
-  options.canvas_width = 12;
-  options.canvas_height = 12;
-  const auto outcome = place_simulated_annealing(schedule, options);
+  PlacerContext context = fast_context();
+  context.canvas_width = 12;
+  context.canvas_height = 12;
+  const auto outcome = make_placer("sa")->place(schedule, context);
   EXPECT_TRUE(outcome.placement.feasible());
 }
 
@@ -115,24 +112,24 @@ TEST(SaPlacerTest, SingleModuleCollapsesToFootprint) {
   Schedule s;
   const ModuleSpec spec{"m", ModuleKind::kMixer, 2, 2, 5.0};  // 4x4
   s.add(ScheduledModule{0, "A", spec, 0.0, 5.0, -1, -1});
-  const auto outcome = place_simulated_annealing(s, fast_options());
+  const auto outcome = make_placer("sa")->place(s, fast_context());
   EXPECT_EQ(outcome.cost.area_cells, 16);
 }
 
 TEST(SaPlacerTest, PaperDefaultsPreserved) {
-  const SaPlacerOptions options;
-  EXPECT_DOUBLE_EQ(options.schedule.initial_temperature, 10000.0);
-  EXPECT_DOUBLE_EQ(options.schedule.cooling_rate, 0.9);
-  EXPECT_EQ(options.schedule.iterations_per_module, 400);
-  EXPECT_DOUBLE_EQ(options.weights.alpha, 1.0);
-  EXPECT_DOUBLE_EQ(options.weights.beta, 0.0);
+  const PlacerContext context;
+  EXPECT_DOUBLE_EQ(context.annealing.initial_temperature, 10000.0);
+  EXPECT_DOUBLE_EQ(context.annealing.cooling_rate, 0.9);
+  EXPECT_EQ(context.annealing.iterations_per_module, 400);
+  EXPECT_DOUBLE_EQ(context.weights.alpha, 1.0);
+  EXPECT_DOUBLE_EQ(context.weights.beta, 0.0);
 }
 
 TEST(SaPlacerTest, EnginesRecordMoveKindTallies) {
   const Schedule schedule = pcr_schedule();
-  const SaPlacerOptions options = fast_options();
-  const auto delta = place_simulated_annealing(schedule, options);
-  const auto copy = oracle::place_copy(schedule, options);
+  const PlacerContext context = fast_context();
+  const auto delta = make_placer("sa")->place(schedule, context);
+  const auto copy = oracle::place_copy(schedule, context);
   long long delta_proposals = 0;
   long long delta_accepted = 0;
   long long copy_proposals = 0;
@@ -162,11 +159,11 @@ TEST(SaPlacerTest, UnterminatingSchedulesAreRejected) {
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const auto with = [](auto mutate) {
-    SaPlacerOptions options = fast_options();
-    mutate(options.schedule);
-    return options;
+    PlacerContext context = fast_context();
+    mutate(context.annealing);
+    return context;
   };
-  for (const SaPlacerOptions& options : {
+  for (const PlacerContext& context : {
            with([](AnnealingSchedule& s) { s.cooling_rate = 1.0; }),
            with([](AnnealingSchedule& s) { s.cooling_rate = 1.5; }),
            with([](AnnealingSchedule& s) { s.cooling_rate = 0.0; }),
@@ -178,11 +175,11 @@ TEST(SaPlacerTest, UnterminatingSchedulesAreRejected) {
            with([&](AnnealingSchedule& s) { s.initial_temperature = inf; }),
            with([&](AnnealingSchedule& s) { s.initial_temperature = nan; }),
        }) {
-    EXPECT_THROW(anneal_from(start, options), std::invalid_argument);
+    EXPECT_THROW(anneal_from(start, context), std::invalid_argument);
   }
   // The boundary cases that do terminate still run.
-  SaPlacerOptions cold = fast_options();
-  cold.schedule.initial_temperature = 0.0;  // no temperature step at all
+  PlacerContext cold = fast_context();
+  cold.annealing.initial_temperature = 0.0;  // no temperature step at all
   EXPECT_TRUE(anneal_from(start, cold).placement.feasible());
 }
 

@@ -290,6 +290,38 @@ TEST(DeadlineTest, GenerousDeadlineStopsSpendingRounds) {
 
 // --- wire protocol ---------------------------------------------------
 
+/// A PCR request line whose "options" member is `options_text` verbatim,
+/// for values json::Value cannot build (integers past 2^53).
+std::string request_line(const std::string& id,
+                         const std::string& options_text) {
+  json::Value request;
+  request.set("id", id);
+  request.set("assay", assay_to_string(pcr_mixing_assay()));
+  std::string line = request.dump();
+  line.pop_back();  // reopen the object
+  return line + ",\"options\":" + options_text + "}";
+}
+
+/// Feeds `input` through serve() and returns the responses (in completion
+/// order, which need not be input order with several workers).
+std::vector<std::string> serve_all(CompileServer& server,
+                                   const std::vector<std::string>& input) {
+  std::size_t cursor = 0;
+  std::mutex output_mutex;
+  std::vector<std::string> output;
+  server.serve(
+      [&](std::string& line) {
+        if (cursor >= input.size()) return false;
+        line = input[cursor++];
+        return true;
+      },
+      [&](const std::string& line) {
+        const std::lock_guard<std::mutex> lock(output_mutex);
+        output.push_back(line);
+      });
+  return output;
+}
+
 TEST(ServerTest, ParseRequestReadsEveryField) {
   const CompileServer server;
   json::Value doc;
@@ -420,10 +452,12 @@ TEST(ServerTest, ServeAnswersRequestsControlLinesAndErrors) {
 }
 
 TEST(ServerTest, UnterminatingOrOutOfRangeOptionsAnswerNotOk) {
-  // Alpha 1.0 and a negative stop temperature never cool to a stop, 1e30
-  // and 2.5 are no int, and "engine" is no option: each request must
-  // answer ok:false (and promptly — the first two would otherwise spin a
-  // worker forever).
+  // Alpha 1.0 and a negative stop temperature never cool to a stop; a
+  // billion iterations per module, or T0 = 1e300 cooled at 0.999999
+  // (~6.9e8 temperature steps), stop but only after hours; 1e30 and 2.5
+  // are no int; -1, 1e30, 2.5 and 2^64 are no 64-bit seed; and "engine"
+  // is no option. Each request must answer ok:false, and promptly: the
+  // first four would otherwise hold a worker forever or for hours.
   const auto request_with = [](const std::string& id, const char* key,
                                json::Value value, bool in_annealing) {
     json::Value request;
@@ -446,33 +480,56 @@ TEST(ServerTest, UnterminatingOrOutOfRangeOptionsAnswerNotOk) {
       request_with("na", "iterations_per_module", json::Value(1e30), true),
       request_with("na-frac", "iterations_per_module", json::Value(2.5),
                    true),
+      request_with("na-huge", "iterations_per_module",
+                   json::Value(1000000000), true),
       request_with("engine", "engine", json::Value(std::string("delta")),
                    false),
+      request_with("seed-neg", "seed", json::Value(-1), false),
+      request_with("seed-huge", "seed", json::Value(1e30), false),
+      request_with("seed-frac", "seed", json::Value(2.5), false),
+      request_line("seed-2^64", "{\"seed\":18446744073709551616}"),
+      request_line("slow-cool",
+                   "{\"annealing\":{\"T0\":1e300,\"alpha\":0.999999}}"),
   };
 
   ServerOptions options;
   options.workers = 2;
   CompileServer server(options);
-  std::size_t cursor = 0;
-  std::mutex output_mutex;
-  std::vector<std::string> output;
-  server.serve(
-      [&](std::string& line) {
-        if (cursor >= input.size()) return false;
-        line = input[cursor++];
-        return true;
-      },
-      [&](const std::string& line) {
-        const std::lock_guard<std::mutex> lock(output_mutex);
-        output.push_back(line);
-      });
+  const std::vector<std::string> output = serve_all(server, input);
 
   ASSERT_EQ(output.size(), input.size());
   for (const std::string& line : output) {
     const json::Value doc = json::Value::parse(line);
     EXPECT_FALSE(doc.find("ok")->as_bool()) << line;
-    EXPECT_FALSE(doc.find("error")->as_string().empty()) << line;
+    const std::string& error = doc.find("error")->as_string();
+    EXPECT_FALSE(error.empty()) << line;
+    // Rejected for the reason under test, not an earlier one.
+    const std::string& id = doc.find("id")->as_string();
+    if (id == "na-huge" || id == "slow-cool") {
+      EXPECT_NE(error.find("work limit"), std::string::npos) << line;
+    } else if (id.rfind("seed-", 0) == 0) {
+      EXPECT_NE(error.find("unsigned 64-bit"), std::string::npos) << line;
+    }
   }
+}
+
+TEST(ServerTest, SeedsAboveTwoToThe53EchoDigitForDigit) {
+  // 2^53 + 1 is the first integer a double cannot hold: it must reach the
+  // compile and come back exactly, not as 2^53.
+  const std::string seed = "9007199254740993";
+  const std::string line = request_line(
+      "big-seed", "{\"seed\":" + seed +
+                      ",\"plan_droplet_routes\":false,\"annealing\":{"
+                      "\"T0\":100,\"alpha\":0.5,"
+                      "\"iterations_per_module\":5}}");
+  CompileServer server;
+  const std::vector<std::string> output = serve_all(server, {line});
+  ASSERT_EQ(output.size(), 1u);
+  EXPECT_NE(output[0].find("\"seed\":" + seed + ","), std::string::npos)
+      << output[0];
+  const json::Value doc = json::Value::parse(output[0]);
+  ASSERT_TRUE(doc.find("ok")->as_bool()) << output[0];
+  EXPECT_EQ(doc.find("result")->find("seed")->as_u64(), 9007199254740993ULL);
 }
 
 // --- options wire round-trip -----------------------------------------
@@ -528,6 +585,24 @@ TEST(ServerTest, PipelineOptionsJsonRoundTripsEveryWireField) {
   PipelineOptions reparsed;
   parse_pipeline_options(json::Value::parse(line), reparsed);
   EXPECT_EQ(options_fingerprint(reparsed), options_fingerprint(options));
+}
+
+TEST(ServerTest, PipelineOptionsJsonCarriesTheFullSeedRange) {
+  // The batch driver ships its base options to workers through this
+  // pair, so a master seed must survive it exactly, up to 2^64 - 1.
+  for (const std::uint64_t seed :
+       {std::uint64_t{0}, std::uint64_t{9007199254740993ULL},
+        std::uint64_t{18446744073709551615ULL}}) {
+    PipelineOptions options;
+    options.seed = seed;
+    const std::string line = pipeline_options_to_json(options).dump();
+    EXPECT_NE(line.find("\"seed\":" + std::to_string(seed) + ","),
+              std::string::npos)
+        << line;
+    PipelineOptions parsed;
+    parse_pipeline_options(json::Value::parse(line), parsed);
+    EXPECT_EQ(parsed.seed, seed);
+  }
 }
 
 TEST(ServerTest, FaultPlanRequestCarriesRecoveryTelemetry) {

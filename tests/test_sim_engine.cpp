@@ -1,18 +1,18 @@
 // Tests for the event-queue simulation engine (sim/sim_engine.h): the
-// bit-identity audit against the reference engine (events, op_outputs,
-// route accounting, failure reasons — the same pinning discipline the
-// copy/delta annealing engines use), the stall detector's wait-chain
+// bit-identity audit against the reference simulator (the test oracle in
+// tests/oracles/reference_simulator.h) on events, op_outputs, route
+// accounting and failure reasons — the same pinning discipline the
+// copy/delta annealing engines use — the stall detector's wait-chain
 // reporting, teleport-mode parity, record_events, and the observer.
 #include "sim/sim_engine.h"
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "assay/assay_library.h"
 #include "assay/random_assay.h"
-#include "assay/synthesis.h"
+#include "assay/scheduler.h"
 #include "core/greedy_placer.h"
+#include "oracles/reference_simulator.h"
 #include "sim/fault.h"
 
 namespace dmfb {
@@ -26,10 +26,10 @@ struct Synthesized {
 
 Synthesized pcr_setup(int canvas = 16) {
   const auto assay = pcr_mixing_assay();
-  auto synth = synthesize_with_binding(assay.graph, assay.binding,
-                                       assay.scheduler_options);
-  Placement placement = place_greedy(synth.schedule, canvas, canvas);
-  return Synthesized{assay.graph, std::move(synth.schedule),
+  Schedule schedule =
+      list_schedule(assay.graph, assay.binding, assay.scheduler_options);
+  Placement placement = place_greedy(schedule, canvas, canvas);
+  return Synthesized{assay.graph, std::move(schedule),
                      std::move(placement)};
 }
 
@@ -39,10 +39,10 @@ Synthesized random_setup(std::uint64_t seed, int mixes, int canvas) {
   params.mix_operations = mixes;
   params.max_layer_width = 4;
   const AssayCase assay = random_assay(params, lib, seed);
-  auto synth = synthesize_with_binding(assay.graph, assay.binding,
-                                       assay.scheduler_options);
-  Placement placement = place_greedy(synth.schedule, canvas, canvas);
-  return Synthesized{assay.graph, std::move(synth.schedule),
+  Schedule schedule =
+      list_schedule(assay.graph, assay.binding, assay.scheduler_options);
+  Placement placement = place_greedy(schedule, canvas, canvas);
+  return Synthesized{assay.graph, std::move(schedule),
                      std::move(placement)};
 }
 
@@ -66,26 +66,28 @@ void expect_identical(const SimulationResult& event,
   EXPECT_EQ(event.op_outputs, reference.op_outputs);
 }
 
-SimulationResult run_with(SimEngineKind kind, const Synthesized& s,
-                          const Chip& chip, SimOptions options = {}) {
-  options.engine = kind;
-  const Simulator simulator(options);
-  return simulator.run(s.graph, s.schedule, s.placement, chip);
+SimulationResult event_run(const Synthesized& s, const Chip& chip,
+                           const SimOptions& options = {}) {
+  return Simulator(options).run(s.graph, s.schedule, s.placement, chip);
+}
+
+SimulationResult reference_run(const Synthesized& s, const Chip& chip,
+                               const SimOptions& options = {}) {
+  return oracle::run_reference(s.graph, s.schedule, s.placement, chip,
+                               options);
 }
 
 TEST(SimEngineTest, PcrBitIdenticalToReference) {
   const auto s = pcr_setup();
   const Chip chip(16, 16);
-  expect_identical(run_with(SimEngineKind::kEvent, s, chip),
-                   run_with(SimEngineKind::kReference, s, chip));
+  expect_identical(event_run(s, chip), reference_run(s, chip));
 }
 
 TEST(SimEngineTest, RandomAssaysBitIdenticalAcrossSeeds) {
   for (const std::uint64_t seed : {1ULL, 7ULL, 42ULL, 1234ULL}) {
     const auto s = random_setup(seed, 10, 20);
     const Chip chip(20, 20);
-    expect_identical(run_with(SimEngineKind::kEvent, s, chip),
-                     run_with(SimEngineKind::kReference, s, chip));
+    expect_identical(event_run(s, chip), reference_run(s, chip));
   }
 }
 
@@ -100,8 +102,7 @@ TEST(SimEngineTest, FaultyChipFailuresBitIdentical) {
       for (int k = 0; k < sprinkle * 3; ++k) {
         inject_fault(chip, Point{(k * 5 + sprinkle) % 18, (k * 7 + 3) % 18});
       }
-      expect_identical(run_with(SimEngineKind::kEvent, s, chip),
-                       run_with(SimEngineKind::kReference, s, chip));
+      expect_identical(event_run(s, chip), reference_run(s, chip));
     }
   }
 }
@@ -111,8 +112,8 @@ TEST(SimEngineTest, TeleportModeBitIdentical) {
   const Chip chip(16, 16);
   SimOptions options;
   options.verify_routing = false;
-  const auto event = run_with(SimEngineKind::kEvent, s, chip, options);
-  const auto reference = run_with(SimEngineKind::kReference, s, chip, options);
+  const auto event = event_run(s, chip, options);
+  const auto reference = reference_run(s, chip, options);
   expect_identical(event, reference);
   EXPECT_TRUE(event.success);
   EXPECT_EQ(event.routes_planned, 0);  // teleporting plans no routes
@@ -123,9 +124,9 @@ TEST(SimEngineTest, RecordEventsOffDropsOnlyTheLog) {
   const Chip chip(16, 16);
   SimOptions quiet;
   quiet.record_events = false;
-  for (const auto kind : {SimEngineKind::kEvent, SimEngineKind::kReference}) {
-    const auto with_log = run_with(kind, s, chip);
-    auto without_log = run_with(kind, s, chip, quiet);
+  for (const auto run : {&event_run, &reference_run}) {
+    const auto with_log = run(s, chip, {});
+    auto without_log = run(s, chip, quiet);
     EXPECT_TRUE(without_log.events.empty());
     EXPECT_FALSE(with_log.events.empty());
     without_log.events = with_log.events;  // the only permitted difference
@@ -145,9 +146,9 @@ TEST(SimEngineTest, EngineInstanceReusableAcrossRuns) {
   const auto first = engine.run(a.graph, a.schedule, a.placement, chip_a);
   const auto second = engine.run(b.graph, b.schedule, b.placement, chip_b);
   const auto again = engine.run(a.graph, a.schedule, a.placement, chip_a);
-  expect_identical(first.result, run_with(SimEngineKind::kReference, a, chip_a));
+  expect_identical(first.result, reference_run(a, chip_a));
   expect_identical(second.result,
-                   run_with(SimEngineKind::kReference, b, chip_b));
+                   reference_run(b, chip_b));
   expect_identical(again.result, first.result);
 }
 
@@ -161,13 +162,13 @@ TEST(SimEngineTest, GridReuseInvalidatedByChipMutation) {
   Chip chip(20, 20);
 
   const auto clean = engine.run(s.graph, s.schedule, s.placement, chip);
-  expect_identical(clean.result, run_with(SimEngineKind::kReference, s, chip));
+  expect_identical(clean.result, reference_run(s, chip));
 
   // Inject a fault dead-center: revision bumps, the reuse key breaks.
   chip.set_faulty(Point{10, 10});
   ASSERT_NE(chip.fault_revision(), 0u);
   const auto faulty = engine.run(s.graph, s.schedule, s.placement, chip);
-  expect_identical(faulty.result, run_with(SimEngineKind::kReference, s, chip));
+  expect_identical(faulty.result, reference_run(s, chip));
 
   // Clearing the fault keeps the revision nonzero — the engine must
   // re-scan (not trust a stale fault set) and match the clean run again.
@@ -255,11 +256,8 @@ TEST(SimEngineTest, StallDetectorNamesBlockingModule) {
   EXPECT_NE(run.stall.chain.find("retimed"), std::string::npos);
 
   // The failure itself stays bit-identical to the reference.
-  SimOptions reference;
-  reference.engine = SimEngineKind::kReference;
-  const Simulator pinned(reference);
-  expect_identical(run.result,
-                   pinned.run(w.graph, w.schedule, w.placement, chip));
+  expect_identical(run.result, oracle::run_reference(w.graph, w.schedule,
+                                                    w.placement, chip));
 }
 
 TEST(SimEngineTest, StallDetectorReportsFaultWall) {
@@ -296,10 +294,8 @@ TEST(SimEngineTest, StallDetectorReportsFaultWall) {
   EXPECT_TRUE(run.stall.blocking_modules.empty());
   EXPECT_NE(run.stall.chain.find("faulty electrodes"), std::string::npos);
 
-  SimOptions reference;
-  reference.engine = SimEngineKind::kReference;
-  const Simulator pinned(reference);
-  expect_identical(run.result, pinned.run(graph, schedule, placement, chip));
+  expect_identical(run.result,
+                   oracle::run_reference(graph, schedule, placement, chip));
 }
 
 TEST(SimEngineTest, StallDetectorReportsDispenseStarvation) {
@@ -334,10 +330,8 @@ TEST(SimEngineTest, StallDetectorReportsDispenseStarvation) {
   EXPECT_TRUE(run.stall.fault_walled);
   EXPECT_EQ(run.stall.waiting_module, 0);
 
-  SimOptions reference;
-  reference.engine = SimEngineKind::kReference;
-  const Simulator pinned(reference);
-  expect_identical(run.result, pinned.run(graph, schedule, placement, chip));
+  expect_identical(run.result,
+                   oracle::run_reference(graph, schedule, placement, chip));
 }
 
 // ---- observer / telemetry / plumbing --------------------------------
@@ -378,30 +372,18 @@ TEST(SimEngineTest, TelemetryCountsRoutesAndGridWork) {
             0);
 }
 
-TEST(SimEngineTest, EngineKindTextRoundTrips) {
-  EXPECT_STREQ(to_string(SimEngineKind::kEvent), "event");
-  EXPECT_STREQ(to_string(SimEngineKind::kReference), "reference");
-  EXPECT_EQ(from_string<SimEngineKind>("event"), SimEngineKind::kEvent);
-  EXPECT_EQ(from_string<SimEngineKind>("reference"),
-            SimEngineKind::kReference);
-  EXPECT_THROW(from_string<SimEngineKind>("tick"), std::invalid_argument);
-  std::ostringstream os;
-  os << SimEngineKind::kEvent;
-  EXPECT_EQ(os.str(), "event");
-  std::istringstream is("reference");
-  SimEngineKind kind = SimEngineKind::kEvent;
-  is >> kind;
-  EXPECT_EQ(kind, SimEngineKind::kReference);
-}
-
 TEST(SimEngineTest, ValidatesLikeTheReference) {
   const auto s = pcr_setup();
   EventSimEngine engine;
   const Chip tiny(4, 4);  // smaller than the placement bounding box
   EXPECT_THROW(engine.run(s.graph, s.schedule, s.placement, tiny),
                std::invalid_argument);
+  EXPECT_THROW(reference_run(s, tiny), std::invalid_argument);
   Schedule empty;
   EXPECT_THROW(engine.run(s.graph, empty, s.placement, Chip(16, 16)),
+               std::invalid_argument);
+  EXPECT_THROW(oracle::run_reference(s.graph, empty, s.placement,
+                                     Chip(16, 16)),
                std::invalid_argument);
 }
 
@@ -418,11 +400,7 @@ TEST(SimEngineTest, RunOnlineEmptyPlanBitIdenticalAndNoCheckpoint) {
   ASSERT_TRUE(online.result.success);
   EXPECT_TRUE(online.faults_fired.empty());
   EXPECT_FALSE(ckpt.valid);  // captured only at a failure
-  SimOptions reference;
-  reference.engine = SimEngineKind::kReference;
-  const Simulator pinned(reference);
-  expect_identical(online.result,
-                   pinned.run(s.graph, s.schedule, s.placement, chip));
+  expect_identical(online.result, reference_run(s, chip));
 }
 
 TEST(SimEngineTest, RunOnlineValidatesPlanAndCheckpoint) {
@@ -560,10 +538,8 @@ TEST(SimEngineTest, StallReportsFirstOfMultipleFaultWalledTargets) {
   EXPECT_EQ(ckpt.time_s, 10.0);
   EXPECT_EQ(ckpt.start_done[2], 0);  // the stalled start did not commit
 
-  SimOptions reference;
-  reference.engine = SimEngineKind::kReference;
-  const Simulator pinned(reference);
-  expect_identical(run.result, pinned.run(graph, schedule, placement, chip));
+  expect_identical(run.result,
+                   oracle::run_reference(graph, schedule, placement, chip));
 }
 
 }  // namespace

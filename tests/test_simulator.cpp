@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "assay/assay_library.h"
-#include "assay/synthesis.h"
+#include "assay/scheduler.h"
 #include "core/greedy_placer.h"
 #include "sim/fault.h"
 
@@ -21,10 +21,10 @@ struct PcrSetup {
 
 PcrSetup pcr_setup(int canvas = 16) {
   const auto assay = pcr_mixing_assay();
-  auto synth = synthesize_with_binding(assay.graph, assay.binding,
-                                       assay.scheduler_options);
-  Placement placement = place_greedy(synth.schedule, canvas, canvas);
-  return PcrSetup{assay.graph, std::move(synth.schedule),
+  Schedule schedule =
+      list_schedule(assay.graph, assay.binding, assay.scheduler_options);
+  Placement placement = place_greedy(schedule, canvas, canvas);
+  return PcrSetup{assay.graph, std::move(schedule),
                   std::move(placement)};
 }
 
@@ -137,13 +137,13 @@ TEST(SimulatorTest, MismatchedScheduleAndPlacementThrow) {
 TEST(SimulatorTest, DilutionAssayProducesSerialConcentrations) {
   const auto lib = ModuleLibrary::standard();
   const auto assay = protein_dilution_assay(2, lib);
-  const auto synth = synthesize_with_binding(assay.graph, assay.binding,
-                                             assay.scheduler_options);
-  const Placement placement = place_greedy(synth.schedule, 20, 20);
+  const Schedule schedule =
+      list_schedule(assay.graph, assay.binding, assay.scheduler_options);
+  const Placement placement = place_greedy(schedule, 20, 20);
   const Chip chip(20, 20);
   const Simulator simulator;
   const auto result =
-      simulator.run(assay.graph, synth.schedule, placement, chip);
+      simulator.run(assay.graph, schedule, placement, chip);
   ASSERT_TRUE(result.success) << result.failure_reason;
   // Root dilution: protein at 1/2. Second level: 1/4.
   for (const auto& op : assay.graph.operations()) {
