@@ -135,35 +135,19 @@ int main(int argc, char** argv) {
     std::vector<bool> solved_mask;
     std::vector<long long> makespans;
     std::vector<long long> steps;
-    /// Per-scenario negotiation rounds (negotiated backends only);
-    /// summed over the commonly-solved set like the quality columns, so
-    /// cold-vs-warm convergence compares identical scenario sets.
+    /// Per-scenario negotiation rounds ("negotiated" only), summed over
+    /// the commonly-solved set like the quality columns.
     std::vector<long long> rounds;
   };
   std::map<std::string, Result> results;
 
-  // Every registered backend, plus the negotiated backend warm-starting
-  // its Pathfinder history across changeovers — the ablation that records
-  // the convergence-round reduction persistence buys.
-  struct Variant {
-    std::string label;
-    std::string router;
-    bool persist_history = false;
-  };
-  std::vector<Variant> variants;
   for (const auto& name : registered_routers()) {
-    variants.push_back(Variant{name, name, false});
-  }
-  variants.push_back(Variant{"negotiated+history", "negotiated", true});
-
-  for (const auto& variant : variants) {
-    const auto router = make_router(variant.router);
-    Result& r = results[variant.label];
+    const auto router = make_router(name);
+    Result& r = results[name];
     for (const auto& scenario : scenarios) {
       RoutePlannerOptions options;
       options.seed = bench::kBenchSeed;
       options.step_horizon = scenario.step_horizon;
-      options.persist_congestion_history = variant.persist_history;
       const auto start = Clock::now();
       const RoutePlan plan =
           router->plan(scenario.graph, scenario.schedule, scenario.placement,
@@ -183,15 +167,9 @@ int main(int argc, char** argv) {
   }
 
   // Quality comparisons only make sense over the scenarios *every*
-  // registered backend solved; success rate covers the rest. The
-  // +history variant is excluded from the mask (it is an ablation of
-  // "negotiated", not a fourth backend) so its solved set cannot shift
-  // the makespan/steps columns the perf trajectory tracks for the base
-  // backends; its own sums below are guarded per scenario.
+  // registered backend solved; success rate covers the rest.
   std::vector<bool> common(scenarios.size(), true);
-  for (const auto& variant : variants) {
-    if (variant.persist_history) continue;
-    const Result& r = results[variant.label];
+  for (const auto& [name, r] : results) {
     for (std::size_t s = 0; s < scenarios.size(); ++s) {
       common[s] = common[s] && r.solved_mask[s];
     }
@@ -226,30 +204,10 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
-  // The congestion-history ablation: persistence should converge in no
-  // more rip-up rounds than cold-starting every changeover. Summed over
-  // scenarios *both* negotiated variants solved, so cold and warm cover
-  // the identical set (informational; the hard shape check is below).
-  {
-    const Result& cold = results["negotiated"];
-    const Result& warm = results["negotiated+history"];
-    long long cold_rounds = 0;
-    long long warm_rounds = 0;
-    for (std::size_t s = 0; s < scenarios.size(); ++s) {
-      if (!cold.solved_mask[s] || !warm.solved_mask[s]) continue;
-      cold_rounds += cold.rounds[s];
-      warm_rounds += warm.rounds[s];
-    }
-    std::cout << "congestion-history convergence: " << cold_rounds
-              << " rounds cold vs " << warm_rounds << " rounds warm\n";
-  }
-
   // Shape check (the PR's acceptance criterion): negotiated congestion
   // must solve at least everything decoupled prioritized planning does.
   const bool sane =
-      results["negotiated"].solved >= results["prioritized"].solved &&
-      results["negotiated+history"].solved >=
-          results["prioritized"].solved;
+      results["negotiated"].solved >= results["prioritized"].solved;
   std::cout << "shape check (negotiated >= prioritized): "
             << (sane ? "OK" : "VIOLATED") << '\n';
   return sane ? 0 : 1;

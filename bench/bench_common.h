@@ -90,8 +90,7 @@ inline void emit_scaling_json_line(int modules, double beta,
 /// The routing counterpart: one line per router backend, with the route
 /// success rate over the bench's scenario set, the summed makespan of the
 /// succeeded plans, the routing wall time, and (for the negotiated
-/// backend) the summed rip-up rounds — the congestion-history ablation
-/// reads convergence off this field.
+/// backend) the summed rip-up rounds, its convergence effort.
 inline void emit_router_json_line(const std::string& name,
                                   const std::string& router,
                                   double success_rate,

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <istream>
-#include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 #include "core/greedy_placer.h"
@@ -163,55 +160,12 @@ class TwoStagePlacer final : public Placer {
 
 }  // namespace
 
-const char* to_string(PlacerKind kind) {
-  switch (kind) {
-    case PlacerKind::kSa:
-      return "sa";
-    case PlacerKind::kGreedy:
-      return "greedy";
-    case PlacerKind::kKamer:
-      return "kamer";
-    case PlacerKind::kOptimal:
-      return "optimal";
-    case PlacerKind::kTwoStage:
-      return "two-stage";
-  }
-  return "?";
-}
-
-template <>
-PlacerKind from_string<PlacerKind>(std::string_view text) {
-  if (text == "sa") return PlacerKind::kSa;
-  if (text == "greedy") return PlacerKind::kGreedy;
-  if (text == "kamer") return PlacerKind::kKamer;
-  if (text == "optimal") return PlacerKind::kOptimal;
-  if (text == "two-stage") return PlacerKind::kTwoStage;
-  throw std::invalid_argument(
-      "unknown PlacerKind \"" + std::string(text) +
-      "\" (expected one of: sa, greedy, kamer, optimal, two-stage)");
-}
-
-std::ostream& operator<<(std::ostream& os, PlacerKind kind) {
-  return os << to_string(kind);
-}
-
-std::istream& operator>>(std::istream& is, PlacerKind& kind) {
-  std::string token;
-  is >> token;
-  kind = from_string<PlacerKind>(token);
-  return is;
-}
-
 PlacerRegistry::PlacerRegistry() {
-  register_placer(to_string(PlacerKind::kSa),
-                  [] { return std::make_unique<SaPlacer>(); });
-  register_placer(to_string(PlacerKind::kGreedy),
-                  [] { return std::make_unique<GreedyPlacer>(); });
-  register_placer(to_string(PlacerKind::kKamer),
-                  [] { return std::make_unique<KamerPlacer>(); });
-  register_placer(to_string(PlacerKind::kOptimal),
-                  [] { return std::make_unique<ExactPlacer>(); });
-  register_placer(to_string(PlacerKind::kTwoStage),
+  register_placer("sa", [] { return std::make_unique<SaPlacer>(); });
+  register_placer("greedy", [] { return std::make_unique<GreedyPlacer>(); });
+  register_placer("kamer", [] { return std::make_unique<KamerPlacer>(); });
+  register_placer("optimal", [] { return std::make_unique<ExactPlacer>(); });
+  register_placer("two-stage",
                   [] { return std::make_unique<TwoStagePlacer>(); });
 }
 
@@ -222,10 +176,6 @@ PlacerRegistry& PlacerRegistry::global() {
 
 std::unique_ptr<Placer> make_placer(const std::string& name) {
   return PlacerRegistry::global().make(name);
-}
-
-std::unique_ptr<Placer> make_placer(PlacerKind kind) {
-  return make_placer(std::string(to_string(kind)));
 }
 
 std::vector<std::string> registered_placers() {

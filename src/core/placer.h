@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -30,27 +29,9 @@
 #include "core/optimal_placer.h"
 #include "core/reconfig.h"
 #include "core/sa_placer.h"
-#include "util/enum_text.h"
 #include "util/registry.h"
 
 namespace dmfb {
-
-/// The built-in placement backends, in registry-name order.
-enum class PlacerKind {
-  kSa,        ///< simulated annealing (the paper's method, §4)
-  kGreedy,    ///< greedy bottom-left baseline (§6.1)
-  kKamer,     ///< KAMER-style online best-fit over maximal empty rectangles
-  kOptimal,   ///< exact branch-and-bound (small instances only)
-  kTwoStage,  ///< fault-aware two-stage annealing (§6.2)
-};
-
-/// Registry name of a built-in placer kind ("sa", "greedy", "kamer",
-/// "optimal", "two-stage").
-const char* to_string(PlacerKind kind);
-template <>
-PlacerKind from_string<PlacerKind>(std::string_view text);
-std::ostream& operator<<(std::ostream& os, PlacerKind kind);
-std::istream& operator>>(std::istream& is, PlacerKind& kind);
 
 /// Everything a placement backend may need. Backends read the fields
 /// relevant to them and ignore the rest; `seed` drives every stochastic
@@ -160,7 +141,6 @@ class PlacerRegistry {
 
 /// Convenience forwarders to PlacerRegistry::global().
 std::unique_ptr<Placer> make_placer(const std::string& name);
-std::unique_ptr<Placer> make_placer(PlacerKind kind);
 std::vector<std::string> registered_placers();
 
 }  // namespace dmfb

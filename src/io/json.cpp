@@ -57,9 +57,18 @@ class Parser {
     if (at_end()) fail("unexpected end of input");
     switch (peek()) {
       case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+      case '[': {
+        // One recursion level per open array/object, bounded so a deep
+        // line cannot overflow the stack.
+        if (depth_ == kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth) +
+               " levels");
+        }
+        ++depth_;
+        Value value = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return value;
+      }
       case '"':
         return Value(parse_string());
       case 't':
@@ -242,6 +251,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< arrays/objects currently open
 };
 
 void dump_string(const std::string& s, std::string& out) {

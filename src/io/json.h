@@ -35,6 +35,12 @@ class JsonError : public std::runtime_error {
   std::size_t offset_;
 };
 
+/// Deepest array/object nesting Value::parse accepts. The parser recurses
+/// once per level, so an unbounded line of '[' would overflow the stack of
+/// whatever process reads it; no message of the repo's protocols comes
+/// near this depth.
+inline constexpr int kMaxDepth = 256;
+
 /// One JSON value. Intentionally a plain tagged struct, not a template
 /// playground: the protocol needs parse, dump, and typed reads.
 class Value {
@@ -89,7 +95,8 @@ class Value {
   void set(std::string key, Value value);
 
   /// Parses exactly one JSON value (surrounding whitespace allowed;
-  /// trailing non-space input is an error). Throws JsonError.
+  /// trailing non-space input is an error). Throws JsonError, also for
+  /// arrays/objects nested deeper than kMaxDepth.
   static Value parse(std::string_view text);
 
   /// Compact serialization (no whitespace); parse(dump()) round-trips.

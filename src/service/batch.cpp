@@ -224,7 +224,7 @@ WorkerReport run_batch_items(const std::vector<BatchItem>& items,
       if (cache && computed->ok) {
         cache->store(assay_fp, options_fp,
                      schedule_signature(computed->schedule), computed,
-                     /*links=*/{}, /*congestion=*/nullptr);
+                     /*links=*/{});
       }
       result = std::move(computed);
     }

@@ -54,11 +54,10 @@ void mix_routing(HashStream& h, const RoutePlannerOptions& r) {
       .mix(r.negotiation_rounds)
       .mix(r.present_congestion_weight)
       .mix(r.history_congestion_weight)
-      .mix(r.persist_congestion_history)
       .mix(r.max_restarts);
-  // r.seed is overridden by the pipeline's master seed; r.threads and
-  // r.congestion_ledger do not change the plan (thread-count invariance is
-  // pinned by test_parallel_routing; the ledger is warm-start state).
+  // r.seed is overridden by the pipeline's master seed; r.threads does not
+  // change the plan (thread-count invariance is pinned by
+  // test_parallel_routing).
 }
 
 }  // namespace
@@ -156,12 +155,6 @@ CompileCache::Lookup CompileCache::lookup(std::uint64_t assay_fp,
       result.warm_placement = warm->second;
     }
     result.warm_links = layout->second.links;
-    if (layout->second.congestion) {
-      // Private copy: the compile mutates it off-lock; store() merges it
-      // back last-writer-wins.
-      result.congestion =
-          std::make_shared<std::vector<double>>(*layout->second.congestion);
-    }
   }
   if (result.warm_placement) {
     ++stats_.warm_hits;
@@ -174,8 +167,7 @@ CompileCache::Lookup CompileCache::lookup(std::uint64_t assay_fp,
 void CompileCache::store(std::uint64_t assay_fp, std::uint64_t options_fp,
                          std::uint64_t signature,
                          std::shared_ptr<const PipelineResult> result,
-                         std::vector<RouteLink> links,
-                         std::shared_ptr<std::vector<double>> congestion) {
+                         std::vector<RouteLink> links) {
   if (!result) return;
   std::lock_guard lock(mutex_);
   const auto [it, inserted] =
@@ -188,7 +180,6 @@ void CompileCache::store(std::uint64_t assay_fp, std::uint64_t options_fp,
         result, &result->placement.placement);
   }
   if (!links.empty()) layout.links = std::move(links);
-  if (congestion) layout.congestion = std::move(congestion);
 }
 
 CacheStats CompileCache::stats() const {

@@ -10,13 +10,10 @@
 // on the layout (same options fingerprint) can still *warm-start*: per
 // layout the cache remembers, keyed by schedule structure, the best
 // placement seen, plus the cross-request route-pressure ledger
-// (reweighted RouteLinks) and the persisted Pathfinder congestion grid —
-// so a perturbed assay on a known layout anneals from a near-solution
-// instead of cold.
+// (reweighted RouteLinks) — so a perturbed assay on a known layout anneals
+// from a near-solution instead of cold.
 //
-// All methods are thread-safe; the congestion grid is handed out as a
-// private copy per compile and merged back last-writer-wins, so compiles
-// on the same layout never serialize on the grid.
+// All methods are thread-safe.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +29,7 @@ namespace dmfb {
 /// Stable fingerprint of every PipelineOptions field that affects compile
 /// output. Excluded by design: `observer` and `threads` (execution-only),
 /// plus the warm-start seams themselves (`initial_placement`,
-/// `warm_links`, `routing.congestion_ledger`) — those carry cached state
+/// `warm_links`) — those carry cached state
 /// *into* a run and must not fork the key space of the cache feeding them.
 std::uint64_t options_fingerprint(const PipelineOptions& options);
 
@@ -61,9 +58,6 @@ class CompileCache {
     std::shared_ptr<const Placement> warm_placement;
     /// The layout's route-pressure ledger (empty when none recorded).
     std::vector<RouteLink> warm_links;
-    /// Private copy of the layout's Pathfinder congestion grid (null when
-    /// none recorded) — mutate freely, hand back through store().
-    std::shared_ptr<std::vector<double>> congestion;
   };
 
   /// Consults the cache for (assay, options, structure). Bumps exactly
@@ -73,14 +67,13 @@ class CompileCache {
                 std::uint64_t signature);
 
   /// Records a finished compile: the exact entry, the layout's warm
-  /// placement for `signature`, the layout ledger rebuilt from the run's
-  /// routes (only when routing succeeded), and the (possibly mutated)
-  /// congestion grid. Last writer wins throughout.
+  /// placement for `signature` and the layout ledger rebuilt from the
+  /// run's routes (only when routing succeeded). Last writer wins
+  /// throughout.
   void store(std::uint64_t assay_fp, std::uint64_t options_fp,
              std::uint64_t signature,
              std::shared_ptr<const PipelineResult> result,
-             std::vector<RouteLink> links,
-             std::shared_ptr<std::vector<double>> congestion);
+             std::vector<RouteLink> links);
 
   /// Persists the exact entries to `path` (atomically: temp file +
   /// rename) in a version-stamped text format; doubles are written as
@@ -93,8 +86,8 @@ class CompileCache {
   /// stage artifacts (schedule, binding, per-changeover routes,
   /// simulation events, stage timings, the FTI coverage matrix) are NOT
   /// persisted: a loaded hit serves summaries bit-identically but
-  /// cannot replay artifacts. Layout memos (warm links, congestion
-  /// grids) are process-local and rebuilt by fresh compiles. Returns
+  /// cannot replay artifacts. Layout ledgers (warm links) are
+  /// process-local and rebuilt by fresh compiles. Returns
   /// false on I/O failure.
   bool save(const std::string& path) const;
 
@@ -114,7 +107,6 @@ class CompileCache {
     /// Best-known placement per schedule structure.
     std::map<std::uint64_t, std::shared_ptr<const Placement>> placements;
     std::vector<RouteLink> links;
-    std::shared_ptr<const std::vector<double>> congestion;
   };
 
   mutable std::mutex mutex_;

@@ -135,8 +135,6 @@ void parse_pipeline_options(const json::Value& value,
       options.deadline_s = field.as_number();
     } else if (key == "plan_droplet_routes") {
       options.plan_droplet_routes = field.as_bool();
-    } else if (key == "persist_congestion_history") {
-      options.routing.persist_congestion_history = field.as_bool();
     } else if (key == "simulate") {
       options.simulate = field.as_bool();
     } else if (key == "fault_plan") {
@@ -198,8 +196,6 @@ json::Value pipeline_options_to_json(const PipelineOptions& options) {
   doc.set("feedback_rounds", static_cast<double>(options.feedback_rounds));
   doc.set("deadline_s", options.deadline_s);
   doc.set("plan_droplet_routes", options.plan_droplet_routes);
-  doc.set("persist_congestion_history",
-          options.routing.persist_congestion_history);
   doc.set("simulate", options.simulate);
   {
     json::Value::Array faults;

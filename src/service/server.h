@@ -9,8 +9,7 @@
 //       "options":{"seed":7,"placer":"sa","router":"negotiated",
 //                  "canvas":[24,24],"chip":[16,16],
 //                  "defects":[[3,4]],"gamma":0.02,
-//                  "feedback_rounds":2,"deadline_s":120.0,
-//                  "persist_congestion_history":true},
+//                  "feedback_rounds":2,"deadline_s":120.0},
 //       "cache":true}
 //   <- {"id":"r1","ok":true,"source":"miss","wall_s":0.41,
 //       "result":{"assay":"pcr","seed":7,"area_cells":63,
@@ -43,11 +42,10 @@ namespace dmfb {
 /// Applies a wire "options" JSON object onto `options` (the request
 /// surface documented above: seed, placer, router, canvas, chip,
 /// defects, gamma, beta, annealing, feedback_rounds, deadline_s,
-/// plan_droplet_routes, persist_congestion_history, simulate,
-/// fault_plan ([[t,x,y],...] mid-run injections — the response then
-/// carries a "recovery" telemetry block), recovery_deadline_s,
-/// recovery_max_cycles, evaluate_fault_tolerance, binding_policy).
-/// Unknown keys throw
+/// plan_droplet_routes, simulate, fault_plan ([[t,x,y],...] mid-run
+/// injections — the response then carries a "recovery" telemetry
+/// block), recovery_deadline_s, recovery_max_cycles,
+/// evaluate_fault_tolerance, binding_policy). Unknown keys throw
 /// std::invalid_argument — a misspelled option that changed nothing
 /// would be the worst kind of service bug to chase from the client
 /// side. Shared by the compile server and the batch driver's worker

@@ -105,13 +105,6 @@ CompileResponse CompileService::compile(const CompileRequest& request) {
           options_.warm_annealing, request.options.placer_context.annealing);
       run_options.warm_links = std::move(cached.warm_links);
     }
-    if (run_options.routing.persist_congestion_history) {
-      // Compile onto the layout's congestion record (a private copy — see
-      // CompileCache::lookup) or start one for this layout.
-      run_options.routing.congestion_ledger =
-          cached.congestion ? std::move(cached.congestion)
-                            : std::make_shared<std::vector<double>>();
-    }
 
     auto result = std::make_shared<const PipelineResult>(
         SynthesisPipeline(run_options).run(assay));
@@ -124,8 +117,7 @@ CompileResponse CompileService::compile(const CompileRequest& request) {
           routing::extract_links(assay.graph, result->schedule),
           result->routes);
     }
-    cache_.store(assay_fp, opts_fp, signature, result, std::move(links),
-                 std::move(run_options.routing.congestion_ledger));
+    cache_.store(assay_fp, opts_fp, signature, result, std::move(links));
 
     response.result = std::move(result);
     response.source = warm ? CompileSource::kWarmStart : CompileSource::kMiss;

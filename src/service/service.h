@@ -10,13 +10,13 @@
 //      structure-compatible cached placement, *warm-starts*: the pipeline
 //      anneals from the cached poses under a short refinement schedule
 //      instead of the full cold anneal, with the layout's route-pressure
-//      ledger and persisted Pathfinder congestion grid injected.
+//      ledger injected.
 //      Because the annealers never record a state worse than a feasible
 //      initial, a warm-started compile's placement cost is never worse
 //      than the cached placement it started from;
 //   4. compiles cold otherwise, and in every non-hit case stores the
-//      result, the layout's warm placement, the reweighted RouteLink
-//      ledger and the congestion grid back into the cache.
+//      result, the layout's warm placement and the reweighted RouteLink
+//      ledger back into the cache.
 //
 // compile() is reentrant; the server (service/server.h) calls it from a
 // worker pool.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <limits>
 #include <map>
 #include <queue>
 #include <sstream>
@@ -98,9 +99,11 @@ bool pair_violates_at(const TimedRoute& a, const TimedRoute& b, int step,
           chebyshev_distance(pb, position_at(a, step - 1)) < separation);
 }
 
-std::optional<std::vector<Point>> route_transfer(
+std::optional<PricedRoute> route_transfer(
     const TransferRequest& request, const Matrix<std::uint8_t>& blocked,
-    const std::vector<TimedRoute>& earlier, int horizon, int separation) {
+    const std::vector<TimedRoute>& others, std::size_t self, int horizon,
+    int separation, double present_weight, const std::vector<double>& history,
+    double history_weight, SearchScratch& scratch) {
   const int width = blocked.width();
   const int height = blocked.height();
   if (!blocked.in_bounds(request.from) || !blocked.in_bounds(request.to)) {
@@ -110,16 +113,30 @@ std::optional<std::vector<Point>> route_transfer(
     return std::nullopt;
   }
 
-  auto conflicts = [&](Point p, int step) {
-    for (const TimedRoute& other : earlier) {
+  const auto key = [&](Point p, int step) {
+    return (static_cast<std::size_t>(step) * height + p.y) * width + p.x;
+  };
+
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  auto penalty = [&](Point p, int step) {
+    double cost = history.empty() ? 0.0
+                                  : history[key(p, step)] * history_weight;
+    for (std::size_t o = 0; o < others.size(); ++o) {
+      if (o == self) continue;
+      const TimedRoute& other = others[o];
+      if (other.positions.empty()) continue;  // not routed yet
       if (other.request.to == request.to) continue;  // merging pair
-      if (conflicts_with_route(p, step, other, separation)) return true;
+      if (conflicts_with_route(p, step, other, separation)) {
+        cost += present_weight;
+        if (cost == kInf) return cost;  // priced out: stop scanning
+      }
     }
-    return false;
+    return cost;
   };
 
   struct Node {
-    int f;
+    double f;
+    double g;
     int step;
     Point p;
     bool operator>(const Node& o) const {
@@ -129,50 +146,56 @@ std::optional<std::vector<Point>> route_transfer(
     }
   };
 
-  // visited[(x, y, step)] — steps bounded by horizon.
-  const auto key = [&](Point p, int step) {
-    return (static_cast<std::size_t>(step) * height + p.y) * width + p.x;
-  };
-  std::vector<bool> visited(
-      static_cast<std::size_t>(horizon + 1) * width * height, false);
-  std::vector<int> parent(
-      static_cast<std::size_t>(horizon + 1) * width * height, -1);
+  // A start that prices out (a hard conflict at step 0) has no route;
+  // settle that before touching the buffers.
+  const double start_g = penalty(request.from, 0);
+  if (start_g == kInf) return std::nullopt;
+
+  const std::size_t states =
+      static_cast<std::size_t>(horizon + 1) * width * height;
+  std::vector<double>& best_g = scratch.best_g;
+  std::vector<int>& parent = scratch.parent;
+  best_g.assign(states, kInf);  // reuses the buffers' capacity
+  parent.assign(states, -1);
 
   std::priority_queue<Node, std::vector<Node>, std::greater<Node>> open;
-  if (conflicts(request.from, 0)) return std::nullopt;
-  open.push(
-      Node{manhattan_distance(request.from, request.to), 0, request.from});
-  visited[key(request.from, 0)] = true;
+  best_g[key(request.from, 0)] = start_g;
+  open.push(Node{start_g + manhattan_distance(request.from, request.to),
+                 start_g, 0, request.from});
 
   const Point steps[5] = {{0, 0}, {1, 0}, {-1, 0}, {0, 1}, {0, -1}};
   while (!open.empty()) {
     const Node node = open.top();
     open.pop();
+    if (node.g > best_g[key(node.p, node.step)]) continue;  // stale entry
     if (node.p == request.to) {
-      // Reconstruct by walking parents backwards.
-      std::vector<Point> positions(static_cast<std::size_t>(node.step) + 1);
+      PricedRoute route;
+      route.cost = node.g;
+      route.positions.resize(static_cast<std::size_t>(node.step) + 1);
       Point p = node.p;
       for (int s = node.step; s >= 0; --s) {
-        positions[static_cast<std::size_t>(s)] = p;
+        route.positions[static_cast<std::size_t>(s)] = p;
         const int parent_index = parent[key(p, s)];
         if (s > 0) {
           p = Point{parent_index % width, (parent_index / width) % height};
         }
       }
-      return positions;
+      return route;
     }
     if (node.step >= horizon) continue;
     for (const Point& delta : steps) {
       const Point next{node.p.x + delta.x, node.p.y + delta.y};
       const int next_step = node.step + 1;
       if (!blocked.in_bounds(next) || blocked.at(next) != 0) continue;
-      if (visited[key(next, next_step)]) continue;
-      if (conflicts(next, next_step)) continue;
-      visited[key(next, next_step)] = true;
+      // A hard conflict prices to +inf and fails this test even against
+      // an unvisited state's +inf.
+      const double g = node.g + 1.0 + penalty(next, next_step);
+      if (g >= best_g[key(next, next_step)]) continue;
+      best_g[key(next, next_step)] = g;
       parent[key(next, next_step)] = static_cast<int>(
           key(node.p, 0) % (static_cast<std::size_t>(width) * height));
-      open.push(Node{next_step + manhattan_distance(next, request.to),
-                     next_step, next});
+      open.push(Node{g + manhattan_distance(next, request.to), g, next_step,
+                     next});
     }
   }
   return std::nullopt;
@@ -371,23 +394,29 @@ std::optional<ChangeoverPlan> solve_prioritized(
     const RoutePlannerOptions& options, int horizon, std::string* failure) {
   ChangeoverPlan changeover;
   changeover.time_s = problem.time_s;
+  SearchScratch scratch;
+  const auto search = [&](const TransferRequest& request) {
+    // Hard-conflict mode against every route placed so far.
+    return route_transfer(request, problem.blocked, changeover.routes,
+                          changeover.routes.size(), horizon,
+                          options.separation_cells, kHardConflict, {}, 0.0,
+                          scratch);
+  };
   for (const std::size_t r : order) {
     TransferRequest request = problem.requests[r];
-    std::optional<std::vector<Point>> positions;
+    std::optional<PricedRoute> found;
     if (request.from == kDispensePending) {
       // Try perimeter entries nearest the target until one routes.
       for (const Point& entry :
            perimeter_entries(problem.blocked, request.to)) {
         request.from = entry;
-        positions = route_transfer(request, problem.blocked, changeover.routes,
-                                   horizon, options.separation_cells);
-        if (positions) break;
+        found = search(request);
+        if (found) break;
       }
     } else {
-      positions = route_transfer(request, problem.blocked, changeover.routes,
-                                 horizon, options.separation_cells);
+      found = search(request);
     }
-    if (!positions) {
+    if (!found) {
       if (failure) {
         std::ostringstream os;
         os << "droplet '" << problem.requests[r].label
@@ -399,7 +428,7 @@ std::optional<ChangeoverPlan> solve_prioritized(
     }
     TimedRoute route;
     route.request = request;
-    route.positions = *positions;
+    route.positions = std::move(found->positions);
     changeover.makespan_steps =
         std::max(changeover.makespan_steps, route.arrival_step());
     changeover.routes.push_back(std::move(route));

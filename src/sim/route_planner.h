@@ -27,7 +27,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -161,25 +161,6 @@ struct RoutePlannerOptions {
   double present_congestion_weight = 1.0;
   /// Weight of accumulated (historic) congestion on a space-time cell.
   double history_congestion_weight = 0.4;
-  /// Carry the Pathfinder history grid forward across changeovers (warm
-  /// start) instead of resetting it per changeover: space-time cells that
-  /// caused conflicts earlier in the assay stay expensive, which cuts
-  /// negotiation rounds on layouts whose chokepoints persist (the
-  /// ROADMAP's "cross-changeover congestion history"). Forces the
-  /// negotiated backend to solve changeovers sequentially in time order
-  /// (`threads` is ignored for it) since each warm start consumes the
-  /// previous changeover's outcome; the resulting plan is still
-  /// deterministic.
-  bool persist_congestion_history = false;
-  /// Cross-run congestion ledger (the synthesis service's per-layout
-  /// Pathfinder memory): when set together with
-  /// persist_congestion_history, the negotiated backend warm-starts from
-  /// and updates *this* history grid in place instead of a per-plan local
-  /// one, so later compiles on the same layout inherit earlier compiles'
-  /// conflict record. The router resizes the grid when its dimensions do
-  /// not match the current problem. Not thread-safe across concurrent
-  /// plan() calls sharing one ledger — callers serialize or copy.
-  std::shared_ptr<std::vector<double>> congestion_ledger;
 
   // "restart" backend (seeded random-restart over transfer orderings).
   /// Shuffled orderings tried per changeover beyond the deterministic one.
@@ -206,10 +187,11 @@ std::vector<std::string> validate_changeover(
 // --- shared building blocks for routing backends ----------------------
 //
 // Everything below is the backend-independent core: changeover extraction
-// from the schedule, the space-time A* primitive, and the prioritized
-// per-changeover solver. Router implementations (sim/router_backend.cpp)
-// compose these; they are exposed here so custom backends registered with
-// RouterRegistry can too.
+// from the schedule, the one space-time A* every backend searches with
+// (priced for "negotiated", hard-constrained for the prioritized solver),
+// and the prioritized per-changeover solver. Router implementations
+// (sim/router_backend.cpp) compose these; they are exposed here so custom
+// backends registered with RouterRegistry can too.
 namespace routing {
 
 /// Sentinel `from` of a dispense transfer: the droplet has no on-chip
@@ -285,13 +267,45 @@ bool conflicts_with_route(Point p, int step, const TimedRoute& other,
 bool pair_violates_at(const TimedRoute& a, const TimedRoute& b, int step,
                       int separation);
 
-/// Space-time A* for one transfer against `earlier` routes' reservations
-/// (hard fluidic constraints, including both directions of the dynamic
-/// rule). Returns the per-step positions, or nullopt when no conflict-free
-/// path exists within `horizon` steps.
-std::optional<std::vector<Point>> route_transfer(
+/// The present-congestion weight that makes the fluidic rule a hard
+/// constraint: a conflicting space-time state prices to +infinity and the
+/// search prunes it, so route_transfer becomes the classic reservation-
+/// table search of prioritized planning (Silver, "Cooperative
+/// Pathfinding", AIIDE 2005).
+inline constexpr double kHardConflict =
+    std::numeric_limits<double>::infinity();
+
+/// A routed transfer with its congestion-aware cost: one per step plus
+/// every penalty paid (equal to the arrival step under kHardConflict).
+struct PricedRoute {
+  std::vector<Point> positions;
+  double cost = 0.0;
+};
+
+/// Reusable space-time search buffers: one search needs (horizon+1)*W*H
+/// entries of best-cost and parent state, and a changeover runs many
+/// searches — hold one scratch per changeover instead of reallocating.
+struct SearchScratch {
+  std::vector<double> best_g;
+  std::vector<int> parent;
+};
+
+/// The space-time A* for one transfer, ties broken by (f, step, x, y).
+/// `others` are the routes of the changeover's other transfers; index
+/// `self` is skipped (pass others.size() to skip none), as are merging
+/// partners (same `to`) and routes not yet routed (empty). Entering a
+/// state that violates the fluidic rule against another route (static
+/// rule plus both directions of the dynamic rule) costs `present_weight`
+/// per offending route; `history` (empty, or one entry per space-time
+/// state) adds `history_weight` times its entry. Pass kHardConflict and no
+/// history for conflict-free routing against `others`' reservations.
+/// Returns nullopt when no path of finite cost exists within `horizon`
+/// steps.
+std::optional<PricedRoute> route_transfer(
     const TransferRequest& request, const Matrix<std::uint8_t>& blocked,
-    const std::vector<TimedRoute>& earlier, int horizon, int separation);
+    const std::vector<TimedRoute>& others, std::size_t self, int horizon,
+    int separation, double present_weight, const std::vector<double>& history,
+    double history_weight, SearchScratch& scratch);
 
 /// The deterministic visit order: on-chip transfers first (their start
 /// cells are fixed), longest first; dispenses last so their entry choice

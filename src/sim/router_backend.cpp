@@ -1,13 +1,6 @@
 #include "sim/router_backend.h"
 
 #include <algorithm>
-#include <cmath>
-#include <istream>
-#include <limits>
-#include <ostream>
-#include <queue>
-#include <sstream>
-#include <stdexcept>
 
 #include "util/rng.h"
 
@@ -16,6 +9,8 @@ namespace {
 
 using routing::ChangeoverProblem;
 using routing::position_at;
+using routing::PricedRoute;
+using routing::SearchScratch;
 
 // --- "prioritized" ----------------------------------------------------
 
@@ -40,145 +35,31 @@ class PrioritizedRouter final : public Router {
 // conflicts. Conflicted routes are ripped up and rerouted each round
 // until the changeover is conflict-free.
 
-/// A routed candidate with its congestion-aware cost.
-struct SoftRoute {
-  std::vector<Point> positions;
-  double cost = 0.0;
-};
-
-/// Reusable space-time search buffers: one A* needs (horizon+1)*W*H
-/// entries of best-cost and parent state, and the negotiation loop runs
-/// many searches per changeover — reallocating each time would dominate
-/// the backend's wall time.
-struct SoftScratch {
-  std::vector<double> best_g;
-  std::vector<int> parent;
-};
-
-/// Cost-based space-time A* for one transfer. `others` are the current
-/// routes of every transfer; `self` is skipped (as are merging partners).
-/// `present_weight` prices entering another route's neighbourhood;
-/// `history` prices space-time cells with a conflict record. With both at
-/// zero this degenerates to an unconstrained shortest path.
-std::optional<SoftRoute> route_soft(
-    const TransferRequest& request, const Matrix<std::uint8_t>& blocked,
-    const std::vector<TimedRoute>& others, std::size_t self, int horizon,
-    int separation, double present_weight, const std::vector<double>& history,
-    double history_weight, SoftScratch& scratch) {
-  const int width = blocked.width();
-  const int height = blocked.height();
-  if (!blocked.in_bounds(request.from) || !blocked.in_bounds(request.to)) {
-    return std::nullopt;
-  }
-  if (blocked.at(request.from) != 0 || blocked.at(request.to) != 0) {
-    return std::nullopt;
-  }
-
-  const auto key = [&](Point p, int step) {
-    return (static_cast<std::size_t>(step) * height + p.y) * width + p.x;
-  };
-
-  auto penalty = [&](Point p, int step) {
-    double cost = history.empty() ? 0.0
-                                  : history[key(p, step)] * history_weight;
-    for (std::size_t o = 0; o < others.size(); ++o) {
-      if (o == self) continue;
-      const TimedRoute& other = others[o];
-      if (other.positions.empty()) continue;  // not routed yet
-      if (other.request.to == request.to) continue;  // merging pair
-      if (routing::conflicts_with_route(p, step, other, separation)) {
-        cost += present_weight;
-      }
-    }
-    return cost;
-  };
-
-  struct Node {
-    double f;
-    double g;
-    int step;
-    Point p;
-    bool operator>(const Node& o) const {
-      if (f != o.f) return f > o.f;
-      if (step != o.step) return step > o.step;
-      return std::pair(p.x, p.y) > std::pair(o.p.x, o.p.y);
-    }
-  };
-
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  const std::size_t states =
-      static_cast<std::size_t>(horizon + 1) * width * height;
-  std::vector<double>& best_g = scratch.best_g;
-  std::vector<int>& parent = scratch.parent;
-  best_g.assign(states, kInf);  // reuses the buffers' capacity
-  parent.assign(states, -1);
-
-  std::priority_queue<Node, std::vector<Node>, std::greater<Node>> open;
-  const double start_g = penalty(request.from, 0);
-  best_g[key(request.from, 0)] = start_g;
-  open.push(Node{start_g + manhattan_distance(request.from, request.to),
-                 start_g, 0, request.from});
-
-  const Point steps[5] = {{0, 0}, {1, 0}, {-1, 0}, {0, 1}, {0, -1}};
-  while (!open.empty()) {
-    const Node node = open.top();
-    open.pop();
-    if (node.g > best_g[key(node.p, node.step)]) continue;  // stale entry
-    if (node.p == request.to) {
-      SoftRoute route;
-      route.cost = node.g;
-      route.positions.resize(static_cast<std::size_t>(node.step) + 1);
-      Point p = node.p;
-      for (int s = node.step; s >= 0; --s) {
-        route.positions[static_cast<std::size_t>(s)] = p;
-        const int parent_index = parent[key(p, s)];
-        if (s > 0) {
-          p = Point{parent_index % width, (parent_index / width) % height};
-        }
-      }
-      return route;
-    }
-    if (node.step >= horizon) continue;
-    for (const Point& delta : steps) {
-      const Point next{node.p.x + delta.x, node.p.y + delta.y};
-      const int next_step = node.step + 1;
-      if (!blocked.in_bounds(next) || blocked.at(next) != 0) continue;
-      const double g = node.g + 1.0 + penalty(next, next_step);
-      if (g >= best_g[key(next, next_step)]) continue;
-      best_g[key(next, next_step)] = g;
-      parent[key(next, next_step)] = static_cast<int>(
-          key(node.p, 0) % (static_cast<std::size_t>(width) * height));
-      open.push(Node{g + manhattan_distance(next, request.to), g, next_step,
-                     next});
-    }
-  }
-  return std::nullopt;
-}
-
 /// Routes `request`, resolving a dispense's pending entry by evaluating
 /// the nearest free perimeter cells and keeping the cheapest route. The
 /// resolved request (with the chosen entry as `from`) is written back.
-std::optional<SoftRoute> route_soft_resolved(
+std::optional<PricedRoute> route_resolved(
     TransferRequest& request, const Matrix<std::uint8_t>& blocked,
     const std::vector<TimedRoute>& others, std::size_t self, int horizon,
     int separation, double present_weight, const std::vector<double>& history,
-    double history_weight, SoftScratch& scratch) {
+    double history_weight, SearchScratch& scratch) {
   if (!(request.from == routing::kDispensePending)) {
-    return route_soft(request, blocked, others, self, horizon, separation,
-                      present_weight, history, history_weight, scratch);
+    return routing::route_transfer(request, blocked, others, self, horizon,
+                                   separation, present_weight, history,
+                                   history_weight, scratch);
   }
   // Evaluating every perimeter cell is an A* each; the nearest few are
   // where a sensible entry lives.
   constexpr std::size_t kMaxEntries = 12;
-  std::optional<SoftRoute> best;
+  std::optional<PricedRoute> best;
   Point best_entry = request.from;
   const auto entries = routing::perimeter_entries(blocked, request.to);
   for (std::size_t i = 0; i < entries.size() && i < kMaxEntries; ++i) {
     TransferRequest candidate = request;
     candidate.from = entries[i];
-    auto route = route_soft(candidate, blocked, others, self, horizon,
-                            separation, present_weight, history,
-                            history_weight, scratch);
+    auto route = routing::route_transfer(candidate, blocked, others, self,
+                                         horizon, separation, present_weight,
+                                         history, history_weight, scratch);
     if (route && (!best || route->cost < best->cost)) {
       best = std::move(route);
       best_entry = entries[i];
@@ -237,48 +118,13 @@ class NegotiatedRouter final : public Router {
     const auto problems = routing::extract_problems(
         graph, schedule, placement, chip_width, chip_height);
 
-    if (options.persist_congestion_history) {
-      // Warm-started history: each changeover negotiates against the
-      // conflict record every earlier changeover accumulated, so
-      // persistent chokepoints (corridors between long-lived modules)
-      // start expensive and convergence takes fewer rounds. Sequential
-      // by construction — the warm start consumes the previous
-      // changeover's outcome — so the solves run inline (threads = 1
-      // puts solve_changeovers on its deterministic fail-fast path).
-      // The history grid is local per plan unless the caller supplied a
-      // cross-run ledger (RoutePlannerOptions::congestion_ledger), in
-      // which case this plan continues — and extends — that record.
-      std::vector<double> local_history;
-      std::vector<double>& history =
-          options.congestion_ledger ? *options.congestion_ledger
-                                    : local_history;
-      return routing::solve_changeovers(
-          problems, /*threads=*/1,
-          [&](const ChangeoverProblem& problem, std::size_t,
-              std::string* failure) {
-            auto changeover = negotiate(problem, options, horizon, &history);
-            if (!changeover) {
-              changeover = routing::solve_prioritized(
-                  problem, routing::default_order(problem.requests), options,
-                  horizon, failure);
-              // The failed negotiation burned its full round budget; the
-              // convergence accounting must say so, or fallback-heavy
-              // plans would report suspiciously few rounds.
-              if (changeover) {
-                changeover->negotiation_rounds = options.negotiation_rounds;
-              }
-            }
-            return changeover;
-          });
-    }
-
     // Changeovers negotiate independently (each owns its history grid and
     // scratch), so they fan out across the routing thread pool.
     return routing::solve_changeovers(
         problems, options.threads,
         [&](const ChangeoverProblem& problem, std::size_t,
             std::string* failure) {
-          auto changeover = negotiate(problem, options, horizon, nullptr);
+          auto changeover = negotiate(problem, options, horizon);
           if (!changeover) {
             // A changeover the negotiation cannot converge on may still
             // yield to decoupled planning, so "negotiated" never does
@@ -296,31 +142,23 @@ class NegotiatedRouter final : public Router {
   }
 
  private:
-  /// `carried`, when non-null, is the cross-changeover history grid: read
-  /// as the warm start and left holding whatever this changeover added.
   std::optional<ChangeoverPlan> negotiate(const ChangeoverProblem& problem,
                                           const RoutePlannerOptions& options,
-                                          int horizon,
-                                          std::vector<double>* carried) const {
+                                          int horizon) const {
     const int width = problem.blocked.width();
     const int height = problem.blocked.height();
     const int separation = options.separation_cells;
     const std::size_t states =
         static_cast<std::size_t>(horizon + 1) * width * height;
-    // Every changeover shares the chip grid and horizon, so a carried
-    // history only needs sizing once.
-    std::vector<double> local;
-    if (carried && carried->size() != states) carried->assign(states, 0.0);
-    if (!carried) local.assign(states, 0.0);
-    std::vector<double>& history = carried ? *carried : local;
-    SoftScratch scratch;
+    std::vector<double> history(states, 0.0);
+    SearchScratch scratch;
 
     // Initial pass: route each transfer congestion-aware against the
     // routes placed so far (soft — sharing is allowed, just priced).
     std::vector<TimedRoute> routes(problem.requests.size());
     for (const std::size_t r : routing::default_order(problem.requests)) {
       TransferRequest request = problem.requests[r];
-      auto soft = route_soft_resolved(
+      auto soft = route_resolved(
           request, problem.blocked, routes, r, horizon, separation,
           options.present_congestion_weight, history,
           options.history_congestion_weight, scratch);
@@ -340,7 +178,7 @@ class NegotiatedRouter final : public Router {
           options.present_congestion_weight * static_cast<double>(round);
       for (const std::size_t r : conflicted) {
         TransferRequest request = problem.requests[r];
-        auto soft = route_soft_resolved(
+        auto soft = route_resolved(
             request, problem.blocked, routes, r, horizon, separation, present,
             history, options.history_congestion_weight, scratch);
         if (!soft) return std::nullopt;
@@ -438,46 +276,12 @@ class RestartRouter final : public Router {
 
 }  // namespace
 
-const char* to_string(RouterKind kind) {
-  switch (kind) {
-    case RouterKind::kNegotiated:
-      return "negotiated";
-    case RouterKind::kPrioritized:
-      return "prioritized";
-    case RouterKind::kRestart:
-      return "restart";
-  }
-  return "?";
-}
-
-template <>
-RouterKind from_string<RouterKind>(std::string_view text) {
-  if (text == "negotiated") return RouterKind::kNegotiated;
-  if (text == "prioritized") return RouterKind::kPrioritized;
-  if (text == "restart") return RouterKind::kRestart;
-  throw std::invalid_argument(
-      "unknown RouterKind \"" + std::string(text) +
-      "\" (expected one of: negotiated, prioritized, restart)");
-}
-
-std::ostream& operator<<(std::ostream& os, RouterKind kind) {
-  return os << to_string(kind);
-}
-
-std::istream& operator>>(std::istream& is, RouterKind& kind) {
-  std::string token;
-  is >> token;
-  kind = from_string<RouterKind>(token);
-  return is;
-}
-
 RouterRegistry::RouterRegistry() {
-  register_router(to_string(RouterKind::kNegotiated),
+  register_router("negotiated",
                   [] { return std::make_unique<NegotiatedRouter>(); });
-  register_router(to_string(RouterKind::kPrioritized),
+  register_router("prioritized",
                   [] { return std::make_unique<PrioritizedRouter>(); });
-  register_router(to_string(RouterKind::kRestart),
-                  [] { return std::make_unique<RestartRouter>(); });
+  register_router("restart", [] { return std::make_unique<RestartRouter>(); });
 }
 
 RouterRegistry& RouterRegistry::global() {
@@ -487,10 +291,6 @@ RouterRegistry& RouterRegistry::global() {
 
 std::unique_ptr<Router> make_router(const std::string& name) {
   return RouterRegistry::global().make(name);
-}
-
-std::unique_ptr<Router> make_router(RouterKind kind) {
-  return make_router(std::string(to_string(kind)));
 }
 
 std::vector<std::string> registered_routers() {

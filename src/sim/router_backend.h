@@ -32,31 +32,14 @@
 #pragma once
 
 #include <functional>
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "sim/route_planner.h"
-#include "util/enum_text.h"
 #include "util/registry.h"
 
 namespace dmfb {
-
-/// The built-in routing backends, in registry-name order.
-enum class RouterKind {
-  kNegotiated,   ///< Pathfinder-style negotiated congestion
-  kPrioritized,  ///< classic decoupled prioritized planning
-  kRestart,      ///< seeded random-restart over transfer orderings
-};
-
-/// Registry name of a built-in router kind ("negotiated", "prioritized",
-/// "restart").
-const char* to_string(RouterKind kind);
-template <>
-RouterKind from_string<RouterKind>(std::string_view text);
-std::ostream& operator<<(std::ostream& os, RouterKind kind);
-std::istream& operator>>(std::istream& is, RouterKind& kind);
 
 /// Abstract routing backend: a scheduled, placed assay in, a checkable
 /// per-changeover droplet plan out.
@@ -123,7 +106,6 @@ class RouterRegistry {
 
 /// Convenience forwarders to RouterRegistry::global().
 std::unique_ptr<Router> make_router(const std::string& name);
-std::unique_ptr<Router> make_router(RouterKind kind);
 std::vector<std::string> registered_routers();
 
 }  // namespace dmfb

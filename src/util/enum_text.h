@@ -4,8 +4,8 @@
 // definition plus an explicit specialization of `from_string<Enum>` declared
 // here, so configs and CLI flags round-trip through text:
 //
-//   PlacerKind kind = from_string<PlacerKind>("two-stage");
-//   assert(from_string<PlacerKind>(to_string(kind)) == kind);
+//   MoveKind kind = from_string<MoveKind>("swap-rotate");
+//   assert(from_string<MoveKind>(to_string(kind)) == kind);
 //
 // Stream operators (`operator<<` / `operator>>`) are layered on the same
 // pair, in the style of poplibs' Operation: `>>` reads one whitespace-

@@ -24,7 +24,6 @@
 #include "core/placer.h"
 #include "oracles/copy_annealer.h"
 #include "sim/route_planner.h"
-#include "sim/router_backend.h"
 #include "util/rng.h"
 
 namespace dmfb {
@@ -362,7 +361,7 @@ TEST(ClosedLoopTest, FeedbackRoundsDeterministicForAnyRoutingThreadCount) {
   EXPECT_DOUBLE_EQ(one.transport_makespan_s, four.transport_makespan_s);
 }
 
-// --- (5) stress generators and congestion-history persistence ---------
+// --- (5) stress generators ------------------------------------------
 
 TEST(ClosedLoopTest, StressGeneratorsAreDeterministicAndSchedulable) {
   const ModuleLibrary library = ModuleLibrary::standard();
@@ -389,51 +388,6 @@ TEST(ClosedLoopTest, StressGeneratorsAreDeterministicAndSchedulable) {
   EXPECT_EQ(p.name, "permutation-assay");
   const PipelineResult pr = SynthesisPipeline(options).run(p);
   EXPECT_TRUE(pr.schedule.validate_against(p.graph).empty());
-}
-
-TEST(ClosedLoopTest, PersistentCongestionHistoryPlansStayValid) {
-  const ModuleLibrary library = ModuleLibrary::standard();
-  const AssayCase assay = permutation_assay(4, 2, library, 11);
-  PipelineOptions options = fast_options();
-  options.placer_context.canvas_width = 18;
-  options.placer_context.canvas_height = 18;
-  options.plan_droplet_routes = false;
-  const PipelineResult synth = SynthesisPipeline(options).run(assay);
-
-  const auto router = make_router("negotiated");
-  RoutePlannerOptions base;
-  base.threads = 2;  // ignored under persistence; exercises that path
-  RoutePlannerOptions persist = base;
-  persist.persist_congestion_history = true;
-
-  const RoutePlan cold = router->plan(assay.graph, synth.schedule,
-                                      synth.placement.placement, 18, 18,
-                                      base);
-  const RoutePlan warm = router->plan(assay.graph, synth.schedule,
-                                      synth.placement.placement, 18, 18,
-                                      persist);
-  ASSERT_TRUE(cold.success) << cold.failure_reason;
-  ASSERT_TRUE(warm.success) << warm.failure_reason;
-  EXPECT_EQ(warm.changeovers.size(), cold.changeovers.size());
-  EXPECT_GE(cold.negotiation_rounds, 0);
-  EXPECT_GE(warm.negotiation_rounds, 0);
-
-  // The warm-started plan still honours every fluidic constraint.
-  const auto problems = routing::extract_problems(
-      assay.graph, synth.schedule, synth.placement.placement, 18, 18);
-  ASSERT_EQ(problems.size(), warm.changeovers.size());
-  for (std::size_t c = 0; c < problems.size(); ++c) {
-    EXPECT_TRUE(
-        validate_changeover(warm.changeovers[c], problems[c].blocked)
-            .empty())
-        << "changeover " << c;
-  }
-  // Determinism: persistence is deterministic too.
-  const RoutePlan warm2 = router->plan(assay.graph, synth.schedule,
-                                       synth.placement.placement, 18, 18,
-                                       persist);
-  EXPECT_EQ(warm2.total_steps, warm.total_steps);
-  EXPECT_EQ(warm2.negotiation_rounds, warm.negotiation_rounds);
 }
 
 }  // namespace

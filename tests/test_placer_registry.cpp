@@ -90,14 +90,6 @@ TEST(PlacerRegistryTest, EveryBuiltinPlacesTheSmallInstanceFeasibly) {
   }
 }
 
-TEST(PlacerRegistryTest, MakePlacerByKindMatchesByName) {
-  for (const PlacerKind kind :
-       {PlacerKind::kSa, PlacerKind::kGreedy, PlacerKind::kKamer,
-        PlacerKind::kOptimal, PlacerKind::kTwoStage}) {
-    EXPECT_EQ(make_placer(kind)->name(), to_string(kind));
-  }
-}
-
 TEST(PlacerRegistryTest, CustomRegistration) {
   class NullPlacer final : public Placer {
    public:
@@ -145,15 +137,6 @@ void expect_round_trip(Enum value) {
   Enum parsed{};
   stream >> parsed;
   EXPECT_EQ(parsed, value);
-}
-
-TEST(EnumTextTest, PlacerKindRoundTrips) {
-  for (const PlacerKind kind :
-       {PlacerKind::kSa, PlacerKind::kGreedy, PlacerKind::kKamer,
-        PlacerKind::kOptimal, PlacerKind::kTwoStage}) {
-    expect_round_trip(kind);
-  }
-  EXPECT_THROW(from_string<PlacerKind>("annealing"), std::invalid_argument);
 }
 
 TEST(EnumTextTest, BindingPolicyRoundTrips) {

@@ -3,18 +3,20 @@
 // merge-at-same-target exemption, the 2-cell Chebyshev dynamic rule
 // against *previous* positions, and a forced yield at a crossing — run
 // identically against every registered backend (the shared conformance
-// suite, like test_placer_registry).
+// suite, like test_placer_registry). The one space-time search every
+// backend uses is pinned against the prioritized-search oracle
+// (tests/oracles/reference_route.h).
 #include "sim/router_backend.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <sstream>
 
 #include "assay/assay_library.h"
 #include "assay/pipeline.h"
 #include "assay/random_assay.h"
 #include "assay/scheduler.h"
+#include "oracles/reference_route.h"
 
 namespace dmfb {
 namespace {
@@ -143,14 +145,6 @@ TEST(RouterRegistryTest, NameAccessorMatchesRegistryKey) {
   }
 }
 
-TEST(RouterRegistryTest, MakeRouterByKindMatchesByName) {
-  for (const RouterKind kind :
-       {RouterKind::kNegotiated, RouterKind::kPrioritized,
-        RouterKind::kRestart}) {
-    EXPECT_EQ(make_router(kind)->name(), to_string(kind));
-  }
-}
-
 TEST(RouterRegistryTest, CustomRegistration) {
   class NullRouter final : public Router {
    public:
@@ -173,20 +167,6 @@ TEST(RouterRegistryTest, CustomRegistration) {
       registry.register_router("null-test",
                                [] { return std::make_unique<NullRouter>(); }),
       std::invalid_argument);
-}
-
-TEST(EnumTextTest, RouterKindRoundTrips) {
-  for (const RouterKind kind :
-       {RouterKind::kNegotiated, RouterKind::kPrioritized,
-        RouterKind::kRestart}) {
-    EXPECT_EQ(from_string<RouterKind>(to_string(kind)), kind);
-    std::stringstream stream;
-    stream << kind;
-    RouterKind parsed{};
-    stream >> parsed;
-    EXPECT_EQ(parsed, kind);
-  }
-  EXPECT_THROW(from_string<RouterKind>("pathfinder"), std::invalid_argument);
 }
 
 // --- shared conformance suite: every registered router ----------------
@@ -368,6 +348,87 @@ TEST(RouterConformanceTest, PipelineRouterSelectableByName) {
   options.router = "no-such-router";
   EXPECT_THROW(SynthesisPipeline(options).run(pcr_mixing_assay()),
                std::invalid_argument);
+}
+
+// --- the one search kernel against the prioritized-search oracle -----
+
+TEST(RouteKernelTest, HardConflictModeMatchesTheOracleSearch) {
+  // Every transfer of every changeover of seeded random, permutation and
+  // corridor assays, each routed against the routes before it in
+  // default_order, as the prioritized solver does: the kernel at
+  // kHardConflict with no history must return the oracle's route (or its
+  // failure) exactly, at cost = arrival step. The 8-step horizon makes
+  // searches run out, so the failure path is compared too.
+  const ModuleLibrary library = ModuleLibrary::standard();
+  constexpr int kChip = 20;
+  std::vector<AssayCase> assays;
+  for (const std::uint64_t seed : {7ULL, 1009ULL, 11ULL}) {
+    RandomAssayParams params;
+    params.mix_operations = 8;
+    assays.push_back(random_assay(params, library, seed));
+    assays.push_back(permutation_assay(4, 2, library, seed));
+    assays.push_back(corridor_assay(StressAssayParams{}, library, seed));
+  }
+
+  int routed = 0;
+  int unroutable = 0;
+  for (const AssayCase& assay : assays) {
+    PipelineOptions options;
+    options.placer = "greedy";
+    options.placer_context.canvas_width = kChip;
+    options.placer_context.canvas_height = kChip;
+    options.plan_droplet_routes = false;
+    const PipelineResult synth = SynthesisPipeline(options).run(assay);
+    const auto problems = routing::extract_problems(
+        assay.graph, synth.schedule, synth.placement.placement, kChip, kChip);
+    ASSERT_FALSE(problems.empty()) << assay.name;
+
+    const RoutePlannerOptions defaults;
+    const int separation = defaults.separation_cells;
+    for (const int horizon :
+         {routing::resolve_horizon(defaults, kChip, kChip), 8}) {
+      for (const auto& problem : problems) {
+        std::vector<TimedRoute> earlier;
+        routing::SearchScratch scratch;
+        const auto compare = [&](const TransferRequest& request) {
+          const auto kernel = routing::route_transfer(
+              request, problem.blocked, earlier, earlier.size(), horizon,
+              separation, routing::kHardConflict, {}, 0.0, scratch);
+          const auto reference = oracle::route_transfer(
+              request, problem.blocked, earlier, horizon, separation);
+          EXPECT_EQ(kernel.has_value(), reference.has_value())
+              << assay.name << " t=" << problem.time_s << " "
+              << request.label << " horizon " << horizon;
+          if (!kernel || !reference) {
+            ++unroutable;
+            return false;
+          }
+          EXPECT_EQ(kernel->positions, *reference)
+              << assay.name << " t=" << problem.time_s << " "
+              << request.label << " horizon " << horizon;
+          EXPECT_EQ(kernel->cost,
+                    static_cast<double>(reference->size() - 1));
+          earlier.push_back(TimedRoute{request, *reference});
+          ++routed;
+          return true;
+        };
+        for (const std::size_t r : routing::default_order(problem.requests)) {
+          TransferRequest request = problem.requests[r];
+          if (!(request.from == routing::kDispensePending)) {
+            compare(request);
+            continue;
+          }
+          for (const Point& entry :
+               routing::perimeter_entries(problem.blocked, request.to)) {
+            request.from = entry;
+            if (compare(request)) break;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(routed, 250);
+  EXPECT_GT(unroutable, 0);
 }
 
 }  // namespace

@@ -118,8 +118,6 @@ TEST(CompileCacheTest, OptionsFingerprintIgnoresExecutionOnlyFields) {
   changed.threads = 8;
   changed.observer = [](PipelineStage, double, const std::string&) {};
   changed.warm_links.push_back(RouteLink{});
-  changed.routing.congestion_ledger =
-      std::make_shared<std::vector<double>>(10, 1.0);
   EXPECT_EQ(options_fingerprint(changed), fp);
 }
 
@@ -337,7 +335,6 @@ TEST(ServerTest, ParseRequestReadsEveryField) {
   options.set("gamma", 0.05);
   options.set("feedback_rounds", 2.0);
   options.set("deadline_s", 40.0);
-  options.set("persist_congestion_history", true);
   doc.set("options", std::move(options));
 
   const CompileRequest request = server.parse_request(doc.dump());
@@ -353,7 +350,6 @@ TEST(ServerTest, ParseRequestReadsEveryField) {
   EXPECT_DOUBLE_EQ(request.options.placer_context.weights.gamma, 0.05);
   EXPECT_EQ(request.options.feedback_rounds, 2);
   EXPECT_DOUBLE_EQ(request.options.deadline_s, 40.0);
-  EXPECT_TRUE(request.options.routing.persist_congestion_history);
 }
 
 TEST(ServerTest, ParseRequestRejectsUnknownOptionsAndMissingAssay) {
@@ -456,8 +452,9 @@ TEST(ServerTest, UnterminatingOrOutOfRangeOptionsAnswerNotOk) {
   // billion iterations per module, or T0 = 1e300 cooled at 0.999999
   // (~6.9e8 temperature steps), stop but only after hours; 1e30 and 2.5
   // are no int; -1, 1e30, 2.5 and 2^64 are no 64-bit seed; and "engine"
-  // is no option. Each request must answer ok:false, and promptly: the
-  // first four would otherwise hold a worker forever or for hours.
+  // and "persist_congestion_history" are no options (both were once).
+  // Each request must answer ok:false, and promptly: the first four would
+  // otherwise hold a worker forever or for hours.
   const auto request_with = [](const std::string& id, const char* key,
                                json::Value value, bool in_annealing) {
     json::Value request;
@@ -484,6 +481,8 @@ TEST(ServerTest, UnterminatingOrOutOfRangeOptionsAnswerNotOk) {
                    json::Value(1000000000), true),
       request_with("engine", "engine", json::Value(std::string("delta")),
                    false),
+      request_with("persist", "persist_congestion_history",
+                   json::Value(true), false),
       request_with("seed-neg", "seed", json::Value(-1), false),
       request_with("seed-huge", "seed", json::Value(1e30), false),
       request_with("seed-frac", "seed", json::Value(2.5), false),
@@ -511,6 +510,43 @@ TEST(ServerTest, UnterminatingOrOutOfRangeOptionsAnswerNotOk) {
       EXPECT_NE(error.find("unsigned 64-bit"), std::string::npos) << line;
     }
   }
+}
+
+TEST(JsonTest, NestingDeeperThanTheBoundThrowsInsteadOfOverflowing) {
+  // One recursion level per '[': unbounded, 200k of them overflowed the
+  // stack of the reading process.
+  EXPECT_THROW(json::Value::parse(std::string(200000, '[')), json::JsonError);
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_NO_THROW(json::Value::parse(nested(json::kMaxDepth)));
+  EXPECT_THROW(json::Value::parse(nested(json::kMaxDepth + 1)),
+               json::JsonError);
+  EXPECT_THROW(json::Value::parse(std::string(100000, '{') + "\"k\":1"),
+               json::JsonError);
+}
+
+TEST(ServerTest, DeeplyNestedLineAnswersNotOkAndServingContinues) {
+  const std::string valid =
+      request_line("after", "{\"plan_droplet_routes\":false,\"annealing\":{"
+                            "\"T0\":100,\"alpha\":0.5,"
+                            "\"iterations_per_module\":5}}");
+  CompileServer server;
+  const std::vector<std::string> output =
+      serve_all(server, {std::string(200000, '['), valid});
+  ASSERT_EQ(output.size(), 2u);
+  int rejected = 0;
+  for (const std::string& line : output) {
+    const json::Value doc = json::Value::parse(line);
+    if (doc.find("id")->as_string() == "after") {
+      EXPECT_TRUE(doc.find("ok")->as_bool()) << line;
+    } else {
+      EXPECT_FALSE(doc.find("ok")->as_bool()) << line;
+      ++rejected;
+    }
+  }
+  EXPECT_EQ(rejected, 1);
 }
 
 TEST(ServerTest, SeedsAboveTwoToThe53EchoDigitForDigit) {
@@ -556,7 +592,6 @@ TEST(ServerTest, PipelineOptionsJsonRoundTripsEveryWireField) {
   options.feedback_rounds = 2;
   options.deadline_s = 1.5;
   options.plan_droplet_routes = false;
-  options.routing.persist_congestion_history = true;
   options.simulate = true;
   options.fault_plan.faults.push_back(PlannedFault{Point{7, 8}, 25.0, -1});
   options.fault_plan.faults.push_back(PlannedFault{Point{2, 9}, 40.5, -1});
@@ -680,8 +715,7 @@ TEST(CompileCachePersistTest, SaveLoadRoundTripsTheResponseSurface) {
   const std::uint64_t signature = schedule_signature(result->schedule);
 
   CompileCache cache;
-  cache.store(assay_fp, options_fp, signature, result, /*links=*/{},
-              /*congestion=*/nullptr);
+  cache.store(assay_fp, options_fp, signature, result, /*links=*/{});
   ASSERT_TRUE(cache.save(path));
 
   CompileCache loaded;
@@ -747,7 +781,7 @@ TEST(CompileCachePersistTest, CorruptOrMissingFilesLoadAsCold) {
       SynthesisPipeline(options).run(assay));
   CompileCache source;
   source.store(assay_fingerprint(assay), options_fingerprint(options),
-               schedule_signature(result->schedule), result, {}, nullptr);
+               schedule_signature(result->schedule), result, {});
   const std::string torn = dir + "dmfb_cache_torn.txt";
   ASSERT_TRUE(source.save(torn));
   {
