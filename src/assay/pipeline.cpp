@@ -388,7 +388,9 @@ std::vector<PipelineResult> SynthesisPipeline::run_indexed(
 
   const auto errors = detail::for_each_index(
       count, options_.threads,
-      [&](std::size_t index) { results[index] = one(index, seeds[index]); });
+      [&](std::size_t index, std::size_t) {
+        results[index] = one(index, seeds[index]);
+      });
   // Batch error semantics: a failed item marks its own entry instead of
   // rethrowing and discarding the other items' finished work.
   for (std::size_t index = 0; index < count; ++index) {

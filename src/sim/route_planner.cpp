@@ -4,7 +4,6 @@
 #include <exception>
 #include <limits>
 #include <map>
-#include <queue>
 #include <sstream>
 #include <stdexcept>
 
@@ -99,6 +98,103 @@ bool pair_violates_at(const TimedRoute& a, const TimedRoute& b, int step,
           chebyshev_distance(pb, position_at(a, step - 1)) < separation);
 }
 
+void ReservationTable::apply(const TimedRoute& route, int delta) {
+  const int reach = separation_ - 1;  // conflicts lie within this radius
+  if (route.positions.empty() || reach < 0) return;
+  const auto add = [&](std::uint16_t& count) {
+    count = static_cast<std::uint16_t>(count + delta);
+  };
+  // Steps up to arrival: every cell the rule flags near the route's
+  // previous, current and next position (one route counts once). Step
+  // planes exist up to the latest arrival held so far.
+  const int last = std::min(route.arrival_step(), horizon_);
+  const std::size_t planes_needed =
+      (static_cast<std::size_t>(last) + 1) * width_ * height_;
+  if (steps_.size() < planes_needed) {
+    steps_.reserve(static_cast<std::size_t>(horizon_ + 1) * width_ * height_);
+    steps_.resize(planes_needed, 0);
+  }
+  for (int step = 0; step <= last; ++step) {
+    const Point here = position_at(route, step);
+    const Point around[3] = {position_at(route, step - 1), here,
+                             position_at(route, step + 1)};
+    int x0 = width_, y0 = height_, x1 = -1, y1 = -1;
+    for (const Point& q : around) {
+      x0 = std::min(x0, q.x - reach);
+      y0 = std::min(y0, q.y - reach);
+      x1 = std::max(x1, q.x + reach);
+      y1 = std::max(y1, q.y + reach);
+    }
+    x0 = std::max(x0, 0);
+    y0 = std::max(y0, 0);
+    x1 = std::min(x1, width_ - 1);
+    y1 = std::min(y1, height_ - 1);
+    std::uint16_t* plane =
+        steps_.data() + static_cast<std::size_t>(step) * width_ * height_;
+    for (int y = y0; y <= y1; ++y) {
+      for (int x = x0; x <= x1; ++x) {
+        if (conflicts_with_route(Point{x, y}, step, route, separation_)) {
+          add(plane[static_cast<std::size_t>(y) * width_ + x]);
+        }
+      }
+    }
+  }
+  // Parked after arrival, the rule is the distance to the target alone.
+  const Point to = route.positions.back();
+  for (int y = std::max(to.y - reach, 0);
+       y <= std::min(to.y + reach, height_ - 1); ++y) {
+    for (int x = std::max(to.x - reach, 0);
+         x <= std::min(to.x + reach, width_ - 1); ++x) {
+      add(tails_[static_cast<std::size_t>(y) * width_ + x]);
+    }
+  }
+}
+
+void ReservationTable::sync(const std::vector<TimedRoute>& routes, int width,
+                            int height, int horizon, int separation) {
+  if (routes.size() > std::numeric_limits<std::uint16_t>::max()) {
+    throw std::length_error("ReservationTable: too many routes to count");
+  }
+  if (width != width_ || height != height_ || horizon != horizon_ ||
+      separation != separation_) {
+    for (const TimedRoute& route : held_) apply(route, -1);
+    held_.clear();  // every count is zero again, under any layout
+    width_ = width;
+    height_ = height;
+    horizon_ = horizon;
+    separation_ = separation;
+    const std::size_t cells = static_cast<std::size_t>(width) * height;
+    if (tails_.size() < cells) tails_.resize(cells, 0);
+  }
+  while (held_.size() > routes.size()) {
+    apply(held_.back(), -1);
+    held_.pop_back();
+  }
+  held_.resize(routes.size());
+  for (std::size_t r = 0; r < routes.size(); ++r) {
+    if (held_[r].positions == routes[r].positions) continue;
+    apply(held_[r], -1);
+    held_[r].positions = routes[r].positions;
+    apply(held_[r], +1);
+  }
+}
+
+int ReservationTable::count(Point p, int step) const {
+  const std::size_t cell = static_cast<std::size_t>(p.y) * width_ + p.x;
+  const std::size_t state =
+      static_cast<std::size_t>(step) * width_ * height_ + cell;
+  int count = state < steps_.size() ? steps_[state] : 0;
+  if (tails_[cell] != 0) {
+    for (const TimedRoute& route : held_) {
+      if (!route.positions.empty() && route.arrival_step() < step &&
+          chebyshev_distance(p, route.positions.back()) < separation_) {
+        ++count;
+      }
+    }
+  }
+  return count;
+}
+
 std::optional<PricedRoute> route_transfer(
     const TransferRequest& request, const Matrix<std::uint8_t>& blocked,
     const std::vector<TimedRoute>& others, std::size_t self, int horizon,
@@ -117,57 +213,83 @@ std::optional<PricedRoute> route_transfer(
     return (static_cast<std::size_t>(step) * height + p.y) * width + p.x;
   };
 
+  // The table counts every routed entry of `others`; the routes the
+  // rule exempts (self and merging partners) are subtracted per state.
+  ReservationTable& table = scratch.reservations;
+  table.sync(others, width, height, horizon, separation);
+  std::vector<const TimedRoute*> exempt;
+  for (std::size_t o = 0; o < others.size(); ++o) {
+    const TimedRoute& other = others[o];
+    if (other.positions.empty()) continue;  // not routed yet
+    if (o == self || other.request.to == request.to) exempt.push_back(&other);
+  }
+
   constexpr double kInf = std::numeric_limits<double>::infinity();
   auto penalty = [&](Point p, int step) {
-    double cost = history.empty() ? 0.0
-                                  : history[key(p, step)] * history_weight;
-    for (std::size_t o = 0; o < others.size(); ++o) {
-      if (o == self) continue;
-      const TimedRoute& other = others[o];
-      if (other.positions.empty()) continue;  // not routed yet
-      if (other.request.to == request.to) continue;  // merging pair
-      if (conflicts_with_route(p, step, other, separation)) {
-        cost += present_weight;
-        if (cost == kInf) return cost;  // priced out: stop scanning
-      }
+    const std::size_t k = key(p, step);
+    double cost = history.empty()
+                      ? 0.0
+                      : (k < history.size() ? history[k] : 0.0) *
+                            history_weight;
+    int offenders = table.count(p, step);
+    for (std::size_t e = 0; offenders > 0 && e < exempt.size(); ++e) {
+      if (conflicts_with_route(p, step, *exempt[e], separation)) --offenders;
     }
+    // One addition per offending route, in the order a scan over the
+    // routes would make them, so fractional weights sum bit-identically.
+    for (; offenders > 0 && cost != kInf; --offenders) cost += present_weight;
     return cost;
   };
 
-  struct Node {
-    double f;
-    double g;
-    int step;
-    Point p;
-    bool operator>(const Node& o) const {
-      if (f != o.f) return f > o.f;
-      if (step != o.step) return step > o.step;
-      return std::pair(p.x, p.y) > std::pair(o.p.x, o.p.y);
-    }
+  using Node = SearchScratch::OpenNode;
+  const auto after = [](const Node& a, const Node& b) {
+    if (a.f != b.f) return a.f > b.f;
+    if (a.step != b.step) return a.step > b.step;
+    return std::pair(a.p.x, a.p.y) > std::pair(b.p.x, b.p.y);
   };
 
-  // A start that prices out (a hard conflict at step 0) has no route;
-  // settle that before touching the buffers.
+  // A start that prices out (a hard conflict at step 0) has no route.
   const double start_g = penalty(request.from, 0);
   if (start_g == kInf) return std::nullopt;
 
-  const std::size_t states =
-      static_cast<std::size_t>(horizon + 1) * width * height;
-  std::vector<double>& best_g = scratch.best_g;
-  std::vector<int>& parent = scratch.parent;
-  best_g.assign(states, kInf);  // reuses the buffers' capacity
-  parent.assign(states, -1);
+  // Entries exist up to the deepest step any search on this scratch has
+  // reached; a search grows them one step plane at a time as it goes,
+  // inside a capacity reserved for the horizon (so growing never copies,
+  // and pages past the deepest step stay untouched).
+  std::vector<SearchScratch::State>& states = scratch.states;
+  const std::size_t plane = static_cast<std::size_t>(width) * height;
+  states.reserve(static_cast<std::size_t>(horizon + 1) * plane);
+  const std::uint32_t generation = ++scratch.generation;
+  if (generation == 0) {  // wrapped: clear the stamps once
+    for (SearchScratch::State& state : states) state.stamp = 0;
+    scratch.generation = 1;
+  }
+  const std::uint32_t current = scratch.generation;
+  const auto grow_to = [&](int step) {
+    const std::size_t needed = (static_cast<std::size_t>(step) + 1) * plane;
+    if (states.size() < needed) states.resize(needed);  // stamps 0: unvisited
+  };
+  const auto best = [&](std::size_t k) {
+    return states[k].stamp == current ? states[k].g : kInf;
+  };
 
-  std::priority_queue<Node, std::vector<Node>, std::greater<Node>> open;
-  best_g[key(request.from, 0)] = start_g;
-  open.push(Node{start_g + manhattan_distance(request.from, request.to),
-                 start_g, 0, request.from});
+  std::vector<Node>& open = scratch.open;
+  open.clear();
+  const auto push = [&](const Node& node) {
+    open.push_back(node);
+    std::push_heap(open.begin(), open.end(), after);
+  };
+  grow_to(0);
+  states[key(request.from, 0)] = {start_g, -1, current};
+  push(Node{start_g + manhattan_distance(request.from, request.to), start_g,
+            0, request.from});
 
   const Point steps[5] = {{0, 0}, {1, 0}, {-1, 0}, {0, 1}, {0, -1}};
   while (!open.empty()) {
-    const Node node = open.top();
-    open.pop();
-    if (node.g > best_g[key(node.p, node.step)]) continue;  // stale entry
+    std::pop_heap(open.begin(), open.end(), after);
+    const Node node = open.back();
+    open.pop_back();
+    if (node.g > states[key(node.p, node.step)].g) continue;  // stale entry
     if (node.p == request.to) {
       PricedRoute route;
       route.cost = node.g;
@@ -175,9 +297,9 @@ std::optional<PricedRoute> route_transfer(
       Point p = node.p;
       for (int s = node.step; s >= 0; --s) {
         route.positions[static_cast<std::size_t>(s)] = p;
-        const int parent_index = parent[key(p, s)];
         if (s > 0) {
-          p = Point{parent_index % width, (parent_index / width) % height};
+          const int cell = states[key(p, s)].parent;
+          p = Point{cell % width, cell / width};
         }
       }
       return route;
@@ -190,12 +312,12 @@ std::optional<PricedRoute> route_transfer(
       // A hard conflict prices to +inf and fails this test even against
       // an unvisited state's +inf.
       const double g = node.g + 1.0 + penalty(next, next_step);
-      if (g >= best_g[key(next, next_step)]) continue;
-      best_g[key(next, next_step)] = g;
-      parent[key(next, next_step)] = static_cast<int>(
-          key(node.p, 0) % (static_cast<std::size_t>(width) * height));
-      open.push(Node{g + manhattan_distance(next, request.to), g, next_step,
-                     next});
+      grow_to(next_step);
+      const std::size_t k = key(next, next_step);
+      if (g >= best(k)) continue;
+      states[k] = {g, node.p.y * width + node.p.x, current};
+      push(Node{g + manhattan_distance(next, request.to), g, next_step,
+                next});
     }
   }
   return std::nullopt;
@@ -391,10 +513,10 @@ std::vector<std::size_t> default_order(
 
 std::optional<ChangeoverPlan> solve_prioritized(
     const ChangeoverProblem& problem, const std::vector<std::size_t>& order,
-    const RoutePlannerOptions& options, int horizon, std::string* failure) {
+    const RoutePlannerOptions& options, int horizon, SearchScratch& scratch,
+    std::string* failure) {
   ChangeoverPlan changeover;
   changeover.time_s = problem.time_s;
-  SearchScratch scratch;
   const auto search = [&](const TransferRequest& request) {
     // Hard-conflict mode against every route placed so far.
     return route_transfer(request, problem.blocked, changeover.routes,
@@ -452,12 +574,15 @@ RoutePlan solve_changeovers(const std::vector<ChangeoverProblem>& problems,
   std::vector<std::string> failures(count);
   std::vector<std::exception_ptr> errors(count);
 
-  if (detail::resolve_worker_count(count, threads) <= 1) {
+  const std::size_t workers = detail::resolve_worker_count(count, threads);
+  std::vector<SearchScratch> scratch(std::max<std::size_t>(workers, 1));
+  if (workers <= 1) {
     // Inline: fail fast like the pre-pool loops did — changeovers after
     // the first unroutable one are never attempted, and an exception
     // propagates from exactly where it was thrown.
     for (std::size_t index = 0; index < count; ++index) {
-      solved[index] = solve(problems[index], index, &failures[index]);
+      solved[index] =
+          solve(problems[index], index, scratch[0], &failures[index]);
       if (!solved[index]) break;
     }
   } else {
@@ -466,8 +591,9 @@ RoutePlan solve_changeovers(const std::vector<ChangeoverProblem>& problems,
     // on worker scheduling, breaking the thread-count invariance this
     // function promises. Failing assays trade some wasted solves for it.
     errors = detail::for_each_index(
-        count, threads, [&](std::size_t index) {
-          solved[index] = solve(problems[index], index, &failures[index]);
+        count, threads, [&](std::size_t index, std::size_t worker) {
+          solved[index] = solve(problems[index], index, scratch[worker],
+                                &failures[index]);
         });
   }
 
@@ -499,9 +625,10 @@ RoutePlan plan_prioritized(const SequencingGraph& graph,
   return solve_changeovers(
       extract_problems(graph, schedule, placement, chip_width, chip_height),
       options.threads,
-      [&](const ChangeoverProblem& problem, std::size_t, std::string* failure) {
+      [&](const ChangeoverProblem& problem, std::size_t,
+          SearchScratch& scratch, std::string* failure) {
         return solve_prioritized(problem, default_order(problem.requests),
-                                 options, horizon, failure);
+                                 options, horizon, scratch, failure);
       });
 }
 

@@ -282,12 +282,79 @@ struct PricedRoute {
   double cost = 0.0;
 };
 
-/// Reusable space-time search buffers: one search needs (horizon+1)*W*H
-/// entries of best-cost and parent state, and a changeover runs many
-/// searches — hold one scratch per changeover instead of reallocating.
+/// The space-time reservation table of cooperative pathfinding (Silver,
+/// "Cooperative Pathfinding", AIIDE 2005): for every (cell, step) of a
+/// width x height grid over steps [0, horizon], the number of held routes
+/// that `conflicts_with_route` flags there. A route's steps up to its
+/// arrival are counted per state; its parked tail (every later step,
+/// where the rule reduces to the distance to its target) is stored once
+/// per cell, not filled out to the horizon.
+class ReservationTable {
+ public:
+  /// Makes the table hold exactly the routed (non-empty) entries of
+  /// `routes`, slot by slot: a slot whose positions changed since the
+  /// last sync has its old route withdrawn and its new one added, so
+  /// placing, ripping up and rerouting a route each cost one route's
+  /// worth of updates. A new grid, horizon or separation first withdraws
+  /// everything under the old layout. Withdrawing the last route leaves
+  /// every count at zero, so the table is never cleared.
+  void sync(const std::vector<TimedRoute>& routes, int width, int height,
+            int horizon, int separation);
+
+  /// Held routes that conflict with a droplet at `p` on `step` (`p` on
+  /// the grid, 0 <= step <= horizon): one lookup, plus a scan of the held
+  /// routes' targets only where some parked tail covers `p`.
+  int count(Point p, int step) const;
+
+ private:
+  void apply(const TimedRoute& route, int delta);
+
+  int width_ = 0;
+  int height_ = 0;
+  int horizon_ = -1;
+  int separation_ = 0;
+  std::vector<std::uint16_t> steps_;  ///< W*H per step, to latest arrival
+  std::vector<std::uint16_t> tails_;  ///< W*H, parked tails covering a cell
+  std::vector<TimedRoute> held_;      ///< positions counted, by slot
+};
+
+/// Every per-state buffer one routing worker reuses across searches and
+/// changeovers. `solve_changeovers` gives each worker one scratch for the
+/// whole plan, so no search or changeover allocates or clears state
+/// arrays of its own. Buffers only grow, a step plane (W*H states) at a
+/// time, inside a capacity reserved for the horizon: growing never
+/// copies, and memory past the deepest step used is never touched.
 struct SearchScratch {
-  std::vector<double> best_g;
-  std::vector<int> parent;
+  /// A* state of one (cell, step): best cost, parent cell and stamp. A
+  /// state whose stamp differs from `generation` is unvisited (+infinity),
+  /// so a search starts by bumping the generation instead of clearing;
+  /// the stamps are cleared once each time the counter wraps.
+  struct State {
+    double g = 0.0;
+    int parent = -1;
+    std::uint32_t stamp = 0;
+  };
+  std::vector<State> states;
+  std::uint32_t generation = 0;
+
+  /// A* open list (kept for its capacity).
+  struct OpenNode {
+    double f = 0.0;
+    double g = 0.0;
+    int step = 0;
+    Point p;
+  };
+  std::vector<OpenNode> open;
+
+  /// The "negotiated" router's congestion history, one entry per
+  /// space-time state up to the deepest step bumped so far; all zero
+  /// between changeovers. `history_cells` lists the entries made
+  /// non-zero, so a changeover resets just those.
+  std::vector<double> history;
+  std::vector<std::size_t> history_cells;
+
+  /// The routes `route_transfer` prices against, as counts per state.
+  ReservationTable reservations;
 };
 
 /// The space-time A* for one transfer, ties broken by (f, step, x, y).
@@ -296,11 +363,18 @@ struct SearchScratch {
 /// partners (same `to`) and routes not yet routed (empty). Entering a
 /// state that violates the fluidic rule against another route (static
 /// rule plus both directions of the dynamic rule) costs `present_weight`
-/// per offending route; `history` (empty, or one entry per space-time
-/// state) adds `history_weight` times its entry. Pass kHardConflict and no
+/// per offending route; a non-empty `history` (one entry per space-time
+/// state, indexed (step*H + y)*W + x; states past its end read as zero)
+/// adds `history_weight` times its entry first. Pass kHardConflict and no
 /// history for conflict-free routing against `others`' reservations.
 /// Returns nullopt when no path of finite cost exists within `horizon`
 /// steps.
+///
+/// The offending routes are counted by `scratch.reservations`, synced to
+/// `others` on entry (only slots that changed since the last search are
+/// touched), minus the few exempt routes; the per-state entries are
+/// generation-stamped, so a search costs what it expands, not the size of
+/// the state space. The result does not depend on what `scratch` held.
 std::optional<PricedRoute> route_transfer(
     const TransferRequest& request, const Matrix<std::uint8_t>& blocked,
     const std::vector<TimedRoute>& others, std::size_t self, int horizon,
@@ -319,23 +393,27 @@ std::vector<std::size_t> default_order(
 /// transfer cannot be routed.
 std::optional<ChangeoverPlan> solve_prioritized(
     const ChangeoverProblem& problem, const std::vector<std::size_t>& order,
-    const RoutePlannerOptions& options, int horizon, std::string* failure);
+    const RoutePlannerOptions& options, int horizon, SearchScratch& scratch,
+    std::string* failure);
 
-/// One changeover's solver: plan the changeover at `index` in `problems`,
-/// or return nullopt and set `failure`. Must be thread-safe across
-/// changeovers (every built-in backend's solver is: changeovers share no
-/// mutable state, and seeded backends split a per-changeover stream from
-/// the run seed by index).
+/// One changeover's solver: plan the changeover at `index` in `problems`
+/// with the calling worker's `scratch`, or return nullopt and set
+/// `failure`. Must be thread-safe across changeovers (every built-in
+/// backend's solver is: changeovers share no mutable state besides their
+/// worker's scratch, and seeded backends split a per-changeover stream
+/// from the run seed by index).
 using ChangeoverSolver = std::function<std::optional<ChangeoverPlan>(
     const ChangeoverProblem& /*problem*/, std::size_t /*index*/,
-    std::string* /*failure*/)>;
+    SearchScratch& /*scratch*/, std::string* /*failure*/)>;
 
 /// Solves every changeover with `solve` across `threads` workers (1 =
 /// inline in the calling thread, 0 = hardware concurrency) and folds the
-/// results into a RoutePlan in changeover order. Because the solver is
-/// index-seeded and changeovers are independent, the returned plan is
-/// identical for any thread count; on failure the first unroutable
-/// changeover (in time order) supplies `failure_reason`.
+/// results into a RoutePlan in changeover order. Each worker owns one
+/// SearchScratch for the whole plan. Because the solver is index-seeded,
+/// changeovers are independent and a search's result does not depend on
+/// what its scratch held before, the returned plan is identical for any
+/// thread count; on failure the first unroutable changeover (in time
+/// order) supplies `failure_reason`.
 RoutePlan solve_changeovers(const std::vector<ChangeoverProblem>& problems,
                             int threads, const ChangeoverSolver& solve);
 

@@ -54,7 +54,16 @@ std::optional<PricedRoute> route_resolved(
   std::optional<PricedRoute> best;
   Point best_entry = request.from;
   const auto entries = routing::perimeter_entries(blocked, request.to);
+  // With non-negative weights every step costs at least 1, so a route
+  // costs at least its entry's Manhattan distance to the target. Entries
+  // come nearest first: once that distance reaches the best cost found,
+  // no later entry can be strictly cheaper, and their searches are moot.
+  const bool bounded = present_weight >= 0.0 && history_weight >= 0.0;
   for (std::size_t i = 0; i < entries.size() && i < kMaxEntries; ++i) {
+    if (best && bounded &&
+        manhattan_distance(entries[i], request.to) >= best->cost) {
+      break;
+    }
     TransferRequest candidate = request;
     candidate.from = entries[i];
     auto route = routing::route_transfer(candidate, blocked, others, self,
@@ -70,13 +79,25 @@ std::optional<PricedRoute> route_resolved(
 }
 
 /// Indices of routes involved in at least one fluidic violation, and —
-/// when `history` is non-null — a history bump on every space-time cell
-/// the offenders occupy at a violating step.
+/// when `scratch` is non-null — a history bump on every space-time cell
+/// the offenders occupy at a violating step (the grid grows to cover it,
+/// and each newly non-zero entry is listed in `history_cells`).
 std::vector<std::size_t> conflicted_routes(
     const std::vector<TimedRoute>& routes, int separation, int horizon,
-    int width, int height, std::vector<double>* history) {
+    int width, int height, SearchScratch* scratch) {
   const auto key = [&](Point p, int step) {
     return (static_cast<std::size_t>(step) * height + p.y) * width + p.x;
+  };
+  const auto bump = [&](Point p, int step) {
+    std::vector<double>& history = scratch->history;
+    const int s = std::min(step, horizon);
+    const std::size_t k = key(p, s);
+    if (k >= history.size()) {  // grow through plane s, inside the horizon
+      history.reserve(key(Point{0, 0}, horizon + 1));
+      history.resize(key(Point{0, 0}, s + 1), 0.0);
+    }
+    if (history[k] == 0.0) scratch->history_cells.push_back(k);
+    history[k] += 1.0;
   };
   std::vector<bool> conflicted(routes.size(), false);
   int makespan = 0;
@@ -91,10 +112,9 @@ std::vector<std::size_t> conflicted_routes(
       for (int step = 0; step <= makespan; ++step) {
         if (!routing::pair_violates_at(a, b, step, separation)) continue;
         conflicted[i] = conflicted[j] = true;
-        if (history) {
-          const int s = std::min(step, horizon);
-          (*history)[key(position_at(a, step), s)] += 1.0;
-          (*history)[key(position_at(b, step), s)] += 1.0;
+        if (scratch) {
+          bump(position_at(a, step), step);
+          bump(position_at(b, step), step);
         }
       }
     }
@@ -118,20 +138,21 @@ class NegotiatedRouter final : public Router {
     const auto problems = routing::extract_problems(
         graph, schedule, placement, chip_width, chip_height);
 
-    // Changeovers negotiate independently (each owns its history grid and
-    // scratch), so they fan out across the routing thread pool.
+    // Changeovers negotiate independently (each on its worker's scratch,
+    // whose history grid is reset per changeover), so they fan out across
+    // the routing thread pool.
     return routing::solve_changeovers(
         problems, options.threads,
         [&](const ChangeoverProblem& problem, std::size_t,
-            std::string* failure) {
-          auto changeover = negotiate(problem, options, horizon);
+            SearchScratch& scratch, std::string* failure) {
+          auto changeover = negotiate(problem, options, horizon, scratch);
           if (!changeover) {
             // A changeover the negotiation cannot converge on may still
             // yield to decoupled planning, so "negotiated" never does
             // worse than "prioritized".
             changeover = routing::solve_prioritized(
                 problem, routing::default_order(problem.requests), options,
-                horizon, failure);
+                horizon, scratch, failure);
             // The failed negotiation still burned its full round budget.
             if (changeover) {
               changeover->negotiation_rounds = options.negotiation_rounds;
@@ -144,14 +165,18 @@ class NegotiatedRouter final : public Router {
  private:
   std::optional<ChangeoverPlan> negotiate(const ChangeoverProblem& problem,
                                           const RoutePlannerOptions& options,
-                                          int horizon) const {
+                                          int horizon,
+                                          SearchScratch& scratch) const {
     const int width = problem.blocked.width();
     const int height = problem.blocked.height();
     const int separation = options.separation_cells;
-    const std::size_t states =
-        static_cast<std::size_t>(horizon + 1) * width * height;
-    std::vector<double> history(states, 0.0);
-    SearchScratch scratch;
+    // A zero history grid: undo the last changeover's bumps. It grows as
+    // conflicts are bumped, and is never empty, so the kernel always adds
+    // the history term (states past its end read as zero).
+    std::vector<double>& history = scratch.history;
+    for (const std::size_t cell : scratch.history_cells) history[cell] = 0.0;
+    scratch.history_cells.clear();
+    if (history.empty()) history.resize(1, 0.0);
 
     // Initial pass: route each transfer congestion-aware against the
     // routes placed so far (soft — sharing is allowed, just priced).
@@ -171,7 +196,7 @@ class NegotiatedRouter final : public Router {
     // an escalating present-congestion cost.
     for (int round = 1; round <= options.negotiation_rounds; ++round) {
       const auto conflicted = conflicted_routes(routes, separation, horizon,
-                                                width, height, &history);
+                                                width, height, &scratch);
       // round - 1 rip-up rounds were spent getting here.
       if (conflicted.empty()) return finish(problem.time_s, routes, round - 1);
       const double present =
@@ -223,6 +248,7 @@ class RestartRouter final : public Router {
                                   chip_height),
         options.threads,
         [&](const ChangeoverProblem& problem, std::size_t c,
+            SearchScratch& scratch,
             std::string* failure) -> std::optional<ChangeoverPlan> {
           // Per-changeover stream split from the one seed, so a
           // changeover's orderings depend on neither how many came before
@@ -232,9 +258,8 @@ class RestartRouter final : public Router {
 
           std::optional<ChangeoverPlan> best;
           auto consider = [&](const std::vector<std::size_t>& order) {
-            auto candidate = routing::solve_prioritized(problem, order,
-                                                        options, horizon,
-                                                        failure);
+            auto candidate = routing::solve_prioritized(
+                problem, order, options, horizon, scratch, failure);
             if (!candidate) return;
             if (!best || better(*candidate, *best)) {
               best = std::move(candidate);

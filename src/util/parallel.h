@@ -24,12 +24,14 @@ inline std::size_t resolve_worker_count(std::size_t count, int threads) {
                                          : hardware));
 }
 
-/// Invokes fn(index) for every index in [0, count) across
+/// Invokes fn(index, worker) for every index in [0, count) across
 /// `resolve_worker_count(count, threads)` workers (a single worker runs
-/// inline in the calling thread). Returns one exception_ptr per index
-/// (null = completed normally); nothing is rethrown here because callers
-/// differ in how errors must surface (run_many folds them into per-item
-/// ok/error status, routing folds them into its fail-fast walk).
+/// inline in the calling thread); `worker` in [0, worker count) names the
+/// worker making the call, so callers can keep per-worker state. Returns
+/// one exception_ptr per index (null = completed normally); nothing is
+/// rethrown here because callers differ in how errors must surface
+/// (run_many folds them into per-item ok/error status, routing folds them
+/// into its fail-fast walk).
 template <typename Fn>
 std::vector<std::exception_ptr> for_each_index(std::size_t count, int threads,
                                                Fn&& fn) {
@@ -38,12 +40,12 @@ std::vector<std::exception_ptr> for_each_index(std::size_t count, int threads,
 
   const std::size_t worker_count = resolve_worker_count(count, threads);
   std::atomic<std::size_t> next{0};
-  const auto worker = [&] {
+  const auto worker = [&](std::size_t slot) {
     for (;;) {
       const std::size_t index = next.fetch_add(1);
       if (index >= count) return;
       try {
-        fn(index);
+        fn(index, slot);
       } catch (...) {
         errors[index] = std::current_exception();
       }
@@ -51,11 +53,13 @@ std::vector<std::exception_ptr> for_each_index(std::size_t count, int threads,
   };
 
   if (worker_count <= 1) {
-    worker();
+    worker(0);
   } else {
     std::vector<std::thread> pool;
     pool.reserve(worker_count);
-    for (std::size_t i = 0; i < worker_count; ++i) pool.emplace_back(worker);
+    for (std::size_t i = 0; i < worker_count; ++i) {
+      pool.emplace_back(worker, i);
+    }
     for (auto& thread : pool) thread.join();
   }
   return errors;

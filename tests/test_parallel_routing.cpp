@@ -12,6 +12,7 @@
 
 #include "assay/assay_library.h"
 #include "assay/pipeline.h"
+#include "assay/random_assay.h"
 #include "sim/router_backend.h"
 
 namespace dmfb {
@@ -39,13 +40,13 @@ std::string serialize(const RoutePlan& plan) {
   return os.str();
 }
 
-/// The paper's PCR case placed via the pipeline — several changeovers
-/// with several concurrent transfers each.
-PipelineResult placed_pcr() {
+/// The paper's PCR case placed via the pipeline on a size x size chip —
+/// several changeovers with several concurrent transfers each.
+PipelineResult placed_pcr(int size = 16) {
   PipelineOptions options;
   options.placer = "greedy";
-  options.placer_context.canvas_width = 16;
-  options.placer_context.canvas_height = 16;
+  options.placer_context.canvas_width = size;
+  options.placer_context.canvas_height = size;
   options.plan_droplet_routes = false;
   return SynthesisPipeline(options).run(pcr_mixing_assay());
 }
@@ -74,6 +75,73 @@ TEST(ParallelRoutingTest, ThreadCountDoesNotChangeThePlan) {
     ASSERT_GT(sequential.changeovers.size(), 1u) << name;
     EXPECT_EQ(serialize(sequential), serialize(parallel)) << name;
   }
+}
+
+TEST(ParallelRoutingTest, BackToBackChipSizesMatchOneThread) {
+  // Workers own their search buffers for a whole plan; planning a larger
+  // chip and then a smaller one (and the larger again) with four workers
+  // must give each plan the single-threaded result.
+  const AssayCase assay = pcr_mixing_assay();
+  const PipelineResult large = placed_pcr(24);
+  const PipelineResult small = placed_pcr(16);
+  for (const std::string& name : registered_routers()) {
+    const auto router = make_router(name);
+    RoutePlannerOptions options;
+    options.seed = 0xC0FFEE;
+    const auto plan = [&](const PipelineResult& placed, int size,
+                          int threads) {
+      options.threads = threads;
+      return serialize(router->plan(assay.graph, placed.schedule,
+                                    placed.placement.placement, size, size,
+                                    options));
+    };
+    const std::string large_one = plan(large, 24, 1);
+    const std::string small_one = plan(small, 16, 1);
+    EXPECT_EQ(plan(large, 24, 4), large_one) << name;
+    EXPECT_EQ(plan(small, 16, 4), small_one) << name;
+    EXPECT_EQ(plan(large, 24, 4), large_one) << name;
+  }
+}
+
+TEST(ParallelRoutingTest, CongestedPlansMatchOneThread) {
+  // Random assays on a 20x20 chip make "negotiated" rip up and reroute in
+  // several changeovers of one plan. A worker reuses its scratch, and with
+  // it the history grid, across the changeovers it solves; the plan must
+  // still not depend on which worker solved which changeover.
+  const ModuleLibrary library = ModuleLibrary::standard();
+  int negotiating_plans = 0;
+  for (int i = 0; i < 20; ++i) {
+    RandomAssayParams params;
+    params.mix_operations = 6 + i % 10;
+    const AssayCase assay = random_assay(
+        params, library, static_cast<std::uint64_t>(7000 + i));
+    PipelineOptions options;
+    options.placer = "greedy";
+    options.placer_context.canvas_width = 20;
+    options.placer_context.canvas_height = 20;
+    options.plan_droplet_routes = false;
+    const PipelineResult placed = SynthesisPipeline(options).run(assay);
+    for (const std::string& name : registered_routers()) {
+      const auto router = make_router(name);
+      RoutePlannerOptions routing;
+      routing.threads = 1;
+      const RoutePlan sequential = router->plan(
+          assay.graph, placed.schedule, placed.placement.placement, 20, 20,
+          routing);
+      routing.threads = 4;
+      const RoutePlan parallel = router->plan(
+          assay.graph, placed.schedule, placed.placement.placement, 20, 20,
+          routing);
+      EXPECT_EQ(serialize(sequential), serialize(parallel))
+          << name << " assay " << i;
+      int negotiating = 0;
+      for (const auto& changeover : sequential.changeovers) {
+        if (changeover.negotiation_rounds > 0) ++negotiating;
+      }
+      if (negotiating > 1) ++negotiating_plans;
+    }
+  }
+  EXPECT_GT(negotiating_plans, 0);
 }
 
 TEST(ParallelRoutingTest, PipelineThreadsProduceIdenticalRuns) {

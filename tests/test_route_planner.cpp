@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "assay/assay_library.h"
 #include "assay/random_assay.h"
 #include "assay/scheduler.h"
@@ -186,6 +191,127 @@ TEST(RoutePlannerTest, AnnealedPlacementsAreRoutable) {
       prioritized_plan(assay.graph, schedule, sa.placement,
                        context.canvas_width, context.canvas_height);
   EXPECT_TRUE(plan.success) << plan.failure_reason;
+}
+
+/// Routes every transfer of every changeover of the PCR assay placed on a
+/// size x size chip, all through `shared` (or a fresh scratch per search
+/// when null): per transfer in default order a priced search against the
+/// routes so far (fractional history) and a hard one, then a priced
+/// reroute pass with each route's old path still in the list.
+std::vector<std::optional<routing::PricedRoute>> route_pcr(
+    int size, int step_horizon, routing::SearchScratch* shared) {
+  const PcrSetup setup = pcr_setup(size);
+  RoutePlannerOptions options;
+  options.step_horizon = step_horizon;
+  const int horizon = routing::resolve_horizon(options, size, size);
+  std::vector<double> history(static_cast<std::size_t>(horizon + 1) * size *
+                              size);
+  for (std::size_t k = 0; k < history.size(); ++k) {
+    history[k] = 0.3 * static_cast<double>(k % 7);
+  }
+
+  std::vector<std::optional<routing::PricedRoute>> results;
+  for (const auto& problem : routing::extract_problems(
+           setup.graph, setup.schedule, setup.placement, size, size)) {
+    std::vector<TimedRoute> routes(problem.requests.size());
+    const auto search = [&](const TransferRequest& request, std::size_t self,
+                            double present, const std::vector<double>& grid) {
+      routing::SearchScratch fresh;
+      results.push_back(routing::route_transfer(
+          request, problem.blocked, routes, self, horizon,
+          options.separation_cells, present, grid,
+          options.history_congestion_weight, shared ? *shared : fresh));
+      return results.back();
+    };
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const std::size_t r : routing::default_order(problem.requests)) {
+        TransferRequest request = problem.requests[r];
+        if (request.from == routing::kDispensePending) {
+          request.from =
+              routing::perimeter_entries(problem.blocked, request.to).front();
+        }
+        if (pass == 0) search(request, r, routing::kHardConflict, {});
+        const auto priced = search(request, r, 2.5, history);
+        if (!priced) continue;
+        routes[r].request = request;
+        routes[r].positions = priced->positions;
+      }
+    }
+  }
+  return results;
+}
+
+TEST(RoutePlannerTest, ScratchReuseAcrossChipSizesMatchesFreshScratch) {
+  // One scratch carried from a 24x24 problem to a 16x16 one and back
+  // (its buffers grow, are read at a smaller layout, then regrow) must
+  // route exactly like a fresh scratch per search, at the auto and an
+  // 8-step horizon.
+  const auto expect_same = [](const auto& reused, const auto& fresh,
+                              const std::string& where) {
+    ASSERT_EQ(reused.size(), fresh.size()) << where;
+    for (std::size_t i = 0; i < fresh.size(); ++i) {
+      ASSERT_EQ(reused[i].has_value(), fresh[i].has_value())
+          << where << " search " << i;
+      if (!fresh[i]) continue;
+      EXPECT_EQ(reused[i]->positions, fresh[i]->positions)
+          << where << " search " << i;
+      EXPECT_EQ(reused[i]->cost, fresh[i]->cost) << where << " search " << i;
+    }
+  };
+  const auto run = [&](routing::SearchScratch& scratch,
+                       const std::vector<int>& sizes, const char* what) {
+    for (const int step_horizon : {0, 8}) {
+      for (const int size : sizes) {
+        const std::string where = std::string(what) + " size " +
+                                  std::to_string(size) + " horizon " +
+                                  std::to_string(step_horizon);
+        const auto fresh = route_pcr(size, step_horizon, nullptr);
+        ASSERT_GT(fresh.size(), 10u) << where;
+        expect_same(route_pcr(size, step_horizon, &scratch), fresh, where);
+      }
+    }
+  };
+  routing::SearchScratch scratch;
+  run(scratch, {24, 16, 24}, "reused");
+  // Once more with the generation counter about to wrap, so the
+  // stamp-clearing path runs mid-sequence.
+  scratch.generation = std::numeric_limits<std::uint32_t>::max() - 1;
+  run(scratch, {24, 16, 24}, "wrapped");
+  EXPECT_LT(scratch.generation, 1000u);  // the counter wrapped
+}
+
+TEST(RoutePlannerTest, WrappedGenerationForgetsEarlierStamps) {
+  // Generation 1 stamps a hard search's step costs; after a wrap the
+  // generation is 1 again, so a priced search from the same start would
+  // read those lower costs as visited states and prune its first moves
+  // unless the wrap cleared the stamps.
+  const Matrix<std::uint8_t> open_grid(8, 8, 0);
+  const TransferRequest across{"d", Point{0, 0}, Point{7, 7}};
+  const TransferRequest in_place{"e", Point{7, 0}, Point{7, 0}};
+  const std::vector<double> history(static_cast<std::size_t>(33) * 64, 0.5);
+  const auto priced = [&](routing::SearchScratch& scratch) {
+    return routing::route_transfer(across, open_grid, {}, 0, 32, 2, 1.0,
+                                   history, 1.0, scratch);
+  };
+  routing::SearchScratch fresh;
+  const auto expected = priced(fresh);
+  ASSERT_TRUE(expected.has_value());
+
+  routing::SearchScratch scratch;
+  ASSERT_TRUE(routing::route_transfer(across, open_grid, {}, 0, 32, 2,
+                                      routing::kHardConflict, {}, 0.0,
+                                      scratch));
+  EXPECT_EQ(scratch.generation, 1u);
+  scratch.generation = std::numeric_limits<std::uint32_t>::max() - 1;
+  // Takes the last generation and stamps only its own start state.
+  ASSERT_TRUE(routing::route_transfer(in_place, open_grid, {}, 0, 32, 2,
+                                      routing::kHardConflict, {}, 0.0,
+                                      scratch));
+  const auto wrapped = priced(scratch);
+  EXPECT_EQ(scratch.generation, 1u);
+  ASSERT_TRUE(wrapped.has_value());
+  EXPECT_EQ(wrapped->positions, expected->positions);
+  EXPECT_EQ(wrapped->cost, expected->cost);
 }
 
 class RoutePlannerRandomized : public ::testing::TestWithParam<int> {};

@@ -352,15 +352,13 @@ TEST(RouterConformanceTest, PipelineRouterSelectableByName) {
 
 // --- the one search kernel against the prioritized-search oracle -----
 
-TEST(RouteKernelTest, HardConflictModeMatchesTheOracleSearch) {
-  // Every transfer of every changeover of seeded random, permutation and
-  // corridor assays, each routed against the routes before it in
-  // default_order, as the prioritized solver does: the kernel at
-  // kHardConflict with no history must return the oracle's route (or its
-  // failure) exactly, at cost = arrival step. The 8-step horizon makes
-  // searches run out, so the failure path is compared too.
+constexpr int kKernelChip = 20;
+
+/// The changeovers the kernel pins run on: seeded random, permutation and
+/// corridor assays placed by greedy on a 20x20 chip, with their names.
+std::vector<std::pair<std::string, std::vector<routing::ChangeoverProblem>>>
+kernel_problems() {
   const ModuleLibrary library = ModuleLibrary::standard();
-  constexpr int kChip = 20;
   std::vector<AssayCase> assays;
   for (const std::uint64_t seed : {7ULL, 1009ULL, 11ULL}) {
     RandomAssayParams params;
@@ -369,19 +367,108 @@ TEST(RouteKernelTest, HardConflictModeMatchesTheOracleSearch) {
     assays.push_back(permutation_assay(4, 2, library, seed));
     assays.push_back(corridor_assay(StressAssayParams{}, library, seed));
   }
-
-  int routed = 0;
-  int unroutable = 0;
+  std::vector<std::pair<std::string, std::vector<routing::ChangeoverProblem>>>
+      sets;
   for (const AssayCase& assay : assays) {
     PipelineOptions options;
     options.placer = "greedy";
-    options.placer_context.canvas_width = kChip;
-    options.placer_context.canvas_height = kChip;
+    options.placer_context.canvas_width = kKernelChip;
+    options.placer_context.canvas_height = kKernelChip;
     options.plan_droplet_routes = false;
     const PipelineResult synth = SynthesisPipeline(options).run(assay);
-    const auto problems = routing::extract_problems(
-        assay.graph, synth.schedule, synth.placement.placement, kChip, kChip);
-    ASSERT_FALSE(problems.empty()) << assay.name;
+    sets.emplace_back(assay.name,
+                      routing::extract_problems(
+                          assay.graph, synth.schedule,
+                          synth.placement.placement, kKernelChip,
+                          kKernelChip));
+  }
+  return sets;
+}
+
+TEST(NegotiatedRouterTest, SettledChangeoversMatchAnUnboundedInitialPass) {
+  // A changeover "negotiated" settles without rip-up keeps its initial
+  // pass: each transfer in default_order priced against the routes before
+  // it on a zero history grid, a dispense taking the strictly cheapest of
+  // its 12 nearest perimeter entries. Replaying that pass here, searching
+  // from every entry, pins the router's early exit from the entry scan.
+  const RoutePlannerOptions options;
+  const auto router = make_router("negotiated");
+  const ModuleLibrary library = ModuleLibrary::standard();
+  int settled = 0;
+  int beyond_nearest = 0;
+  constexpr int kChip = 16;  // tight enough for detours and conflicts
+  RandomAssayParams params;
+  params.mix_operations = 8;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    for (const AssayCase& assay : {random_assay(params, library, seed),
+                                   permutation_assay(4, 2, library, seed)}) {
+      PipelineOptions pipeline;
+      pipeline.placer = "greedy";
+      pipeline.placer_context.canvas_width = kChip;
+      pipeline.placer_context.canvas_height = kChip;
+      pipeline.plan_droplet_routes = false;
+      const PipelineResult synth = SynthesisPipeline(pipeline).run(assay);
+      const RoutePlan plan =
+          router->plan(assay.graph, synth.schedule, synth.placement.placement,
+                       kChip, kChip, options);
+      const auto problems = routing::extract_problems(
+          assay.graph, synth.schedule, synth.placement.placement, kChip,
+          kChip);
+      const int horizon = routing::resolve_horizon(options, kChip, kChip);
+      for (std::size_t c = 0; c < plan.changeovers.size(); ++c) {
+        if (plan.changeovers[c].negotiation_rounds != 0) continue;
+        const auto& problem = problems[c];
+        std::vector<TimedRoute> routes(problem.requests.size());
+        routing::SearchScratch scratch;
+        for (const std::size_t r : routing::default_order(problem.requests)) {
+          std::vector<Point> entries{problem.requests[r].from};
+          if (entries.front() == routing::kDispensePending) {
+            entries = routing::perimeter_entries(problem.blocked,
+                                                 problem.requests[r].to);
+            entries.resize(std::min<std::size_t>(entries.size(), 12));
+          }
+          std::optional<routing::PricedRoute> best;
+          for (std::size_t e = 0; e < entries.size(); ++e) {
+            TransferRequest request = problem.requests[r];
+            request.from = entries[e];
+            auto route = routing::route_transfer(
+                request, problem.blocked, routes, r, horizon,
+                options.separation_cells, options.present_congestion_weight,
+                {}, options.history_congestion_weight, scratch);
+            if (route && (!best || route->cost < best->cost)) {
+              best = std::move(route);
+              routes[r].request = request;
+              if (e > 0) ++beyond_nearest;
+            }
+          }
+          ASSERT_TRUE(best.has_value())
+              << assay.name << " t=" << problem.time_s;
+          routes[r].positions = best->positions;
+          EXPECT_EQ(plan.changeovers[c].routes[r].positions,
+                    routes[r].positions)
+              << assay.name << " t=" << problem.time_s << " "
+              << problem.requests[r].label;
+        }
+        ++settled;
+      }
+    }
+  }
+  EXPECT_GT(settled, 40);
+  EXPECT_GT(beyond_nearest, 0);  // the entry scan's bound was exercised
+}
+
+TEST(RouteKernelTest, HardConflictModeMatchesTheOracleSearch) {
+  // Every transfer of every changeover of seeded random, permutation and
+  // corridor assays, each routed against the routes before it in
+  // default_order, as the prioritized solver does: the kernel at
+  // kHardConflict with no history must return the oracle's route (or its
+  // failure) exactly, at cost = arrival step. The 8-step horizon makes
+  // searches run out, so the failure path is compared too.
+  constexpr int kChip = kKernelChip;
+  int routed = 0;
+  int unroutable = 0;
+  for (const auto& [name, problems] : kernel_problems()) {
+    ASSERT_FALSE(problems.empty()) << name;
 
     const RoutePlannerOptions defaults;
     const int separation = defaults.separation_cells;
@@ -397,14 +484,14 @@ TEST(RouteKernelTest, HardConflictModeMatchesTheOracleSearch) {
           const auto reference = oracle::route_transfer(
               request, problem.blocked, earlier, horizon, separation);
           EXPECT_EQ(kernel.has_value(), reference.has_value())
-              << assay.name << " t=" << problem.time_s << " "
+              << name << " t=" << problem.time_s << " "
               << request.label << " horizon " << horizon;
           if (!kernel || !reference) {
             ++unroutable;
             return false;
           }
           EXPECT_EQ(kernel->positions, *reference)
-              << assay.name << " t=" << problem.time_s << " "
+              << name << " t=" << problem.time_s << " "
               << request.label << " horizon " << horizon;
           EXPECT_EQ(kernel->cost,
                     static_cast<double>(reference->size() - 1));
@@ -429,6 +516,99 @@ TEST(RouteKernelTest, HardConflictModeMatchesTheOracleSearch) {
   }
   EXPECT_GT(routed, 250);
   EXPECT_GT(unroutable, 0);
+}
+
+TEST(RouteKernelTest, PricedModeMatchesTheScanningOracle) {
+  // The negotiated router's use of the kernel: a fractional history grid
+  // and present weights 1.0, 2.5 and 0.7 ((h + 0.7) + 0.7 and h + 1.4
+  // can round apart, so one addition per offending route is pinned).
+  // Each changeover is routed twice against one list of routes: an
+  // initial pass in default_order (self's slot still empty) and a reroute
+  // pass (self's old route in the list, mid-list for the middle
+  // transfers). Every search must match the scan-based oracle on
+  // positions and on cost exactly, so the reservation table's counts and
+  // their summation order are pinned. One scratch serves every search, so
+  // its reuse is exercised too.
+  constexpr int kChip = kKernelChip;
+  const RoutePlannerOptions defaults;
+  const int separation = defaults.separation_cells;
+  const double history_weight = defaults.history_congestion_weight;
+  routing::SearchScratch scratch;
+  int compared = 0;
+  int self_mid_list = 0;
+  int with_merging_partner = 0;
+  for (const auto& [name, problems] : kernel_problems()) {
+    for (const int horizon :
+         {routing::resolve_horizon(defaults, kChip, kChip), 8}) {
+      std::vector<double> history(
+          static_cast<std::size_t>(horizon + 1) * kChip * kChip);
+      for (std::size_t k = 0; k < history.size(); ++k) {
+        history[k] = 0.05 + 0.1 * static_cast<double>((k * 7919) % 13);
+      }
+      for (const double present : {1.0, 2.5, 0.7}) {
+        for (const auto& problem : problems) {
+          std::vector<TimedRoute> routes(problem.requests.size());
+          const auto compare = [&](const TransferRequest& request,
+                                   std::size_t self) {
+            const auto kernel = routing::route_transfer(
+                request, problem.blocked, routes, self, horizon, separation,
+                present, history, history_weight, scratch);
+            const auto reference = oracle::route_transfer_priced(
+                request, problem.blocked, routes, self, horizon, separation,
+                present, history, history_weight);
+            const std::string where = name + " t=" +
+                                      std::to_string(problem.time_s) + " " +
+                                      request.label + " horizon " +
+                                      std::to_string(horizon);
+            EXPECT_EQ(kernel.has_value(), reference.has_value()) << where;
+            ++compared;
+            if (!kernel || !reference) return false;
+            EXPECT_EQ(kernel->positions, reference->positions) << where;
+            EXPECT_EQ(kernel->cost, reference->cost) << where;
+            return true;
+          };
+          for (int pass = 0; pass < 2; ++pass) {
+            for (const std::size_t r :
+                 routing::default_order(problem.requests)) {
+              if (pass == 1 && r > 0 && r + 1 < routes.size()) {
+                ++self_mid_list;
+              }
+              for (std::size_t o = 0; o < routes.size(); ++o) {
+                if (o != r && !routes[o].positions.empty() &&
+                    routes[o].request.to == problem.requests[r].to) {
+                  ++with_merging_partner;
+                  break;
+                }
+              }
+              // Rerouting keeps a dispense's entry from the first pass.
+              TransferRequest request = routes[r].positions.empty()
+                                            ? problem.requests[r]
+                                            : routes[r].request;
+              if (request.from == routing::kDispensePending) {
+                // The nearest entry that routes at all.
+                for (const Point& entry : routing::perimeter_entries(
+                         problem.blocked, request.to)) {
+                  request.from = entry;
+                  if (compare(request, r)) break;
+                }
+              } else if (!compare(request, r)) {
+                continue;
+              }
+              const auto placed = oracle::route_transfer_priced(
+                  request, problem.blocked, routes, r, horizon, separation,
+                  present, history, history_weight);
+              if (!placed) continue;
+              routes[r].request = request;
+              routes[r].positions = placed->positions;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 1000);
+  EXPECT_GT(self_mid_list, 0);
+  EXPECT_GT(with_merging_partner, 0);
 }
 
 }  // namespace
