@@ -1,6 +1,7 @@
 #include "core/fti.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <limits>
 #include <utility>
@@ -12,12 +13,11 @@ namespace dmfb {
 namespace {
 
 /// Binary occupancy of `region` by modules that time-overlap module
-/// `excluded` (excluding itself), written into `grid`: exactly the cells
-/// unavailable to the module were it relocated.
-void occupancy_excluding_into(const Placement& placement, int excluded,
-                              const Rect& region,
-                              Matrix<std::uint8_t>& grid) {
-  grid.reset(region.width, region.height, 0);
+/// `excluded` (excluding itself): exactly the cells unavailable to the
+/// module were it relocated.
+Matrix<std::uint8_t> occupancy_excluding(const Placement& placement,
+                                         int excluded, const Rect& region) {
+  Matrix<std::uint8_t> grid(region.width, region.height, 0);
   const PlacedModule& target = placement.module(excluded);
   for (int i = 0; i < placement.module_count(); ++i) {
     if (i == excluded) continue;
@@ -28,42 +28,7 @@ void occupancy_excluding_into(const Placement& placement, int excluded,
     fp.y -= region.y;
     grid.fill_rect(fp, 1);
   }
-}
-
-Matrix<std::uint8_t> occupancy_excluding(const Placement& placement,
-                                         int excluded, const Rect& region) {
-  Matrix<std::uint8_t> grid;
-  occupancy_excluding_into(placement, excluded, region, grid);
   return grid;
-}
-
-/// Builds the per-orientation queries from `scratch.occupied` (already
-/// filled with the excluding occupancy). The valid-anchor grid — cell
-/// (x, y) is valid iff rect (x, y, w, h) is empty and inside the grid —
-/// is derived fused into its prefix-sum pass, never materialized.
-std::vector<OrientationQuery> queries_from_scratch(FtiBuildScratch& scratch,
-                                                   int w, int h,
-                                                   const FtiOptions& options) {
-  scratch.occupied_sums.rebuild(scratch.occupied);
-  const int grid_w = scratch.occupied_sums.width();
-  const int grid_h = scratch.occupied_sums.height();
-
-  std::vector<OrientationQuery> queries;
-  auto add = [&](int qw, int qh) {
-    OrientationQuery q;
-    q.w = qw;
-    q.h = qh;
-    q.position_sums.rebuild_from(grid_w, grid_h, [&](int x, int y) {
-      return x + qw <= grid_w && y + qh <= grid_h &&
-             scratch.occupied_sums.is_rect_empty(Rect{x, y, qw, qh});
-    });
-    q.total_positions =
-        q.position_sums.occupied_in(Rect{0, 0, grid_w, grid_h});
-    queries.push_back(std::move(q));
-  };
-  add(w, h);
-  if (options.allow_rotation && w != h) add(h, w);
-  return queries;
 }
 
 }  // namespace
@@ -84,17 +49,33 @@ bool OrientationQuery::relocatable_avoiding(Point cell) const {
 std::vector<OrientationQuery> build_relocation_queries(
     const Placement& placement, int index, const Rect& region,
     const FtiOptions& options) {
-  FtiBuildScratch scratch;
-  return build_relocation_queries(placement, index, region, options, scratch);
-}
-
-std::vector<OrientationQuery> build_relocation_queries(
-    const Placement& placement, int index, const Rect& region,
-    const FtiOptions& options, FtiBuildScratch& scratch) {
   const PlacedModule& m = placement.module(index);
-  occupancy_excluding_into(placement, index, region, scratch.occupied);
-  return queries_from_scratch(scratch, m.spec.footprint_width(),
-                              m.spec.footprint_height(), options);
+  const PrefixSum2D occupied_sums(
+      occupancy_excluding(placement, index, region));
+  const int grid_w = occupied_sums.width();
+  const int grid_h = occupied_sums.height();
+
+  // The valid-anchor grid — cell (x, y) is valid iff rect (x, y, w, h) is
+  // empty and inside the grid — is derived fused into its prefix-sum
+  // pass, never materialized.
+  std::vector<OrientationQuery> queries;
+  const auto add = [&](int qw, int qh) {
+    OrientationQuery q;
+    q.w = qw;
+    q.h = qh;
+    q.position_sums.rebuild_from(grid_w, grid_h, [&](int x, int y) {
+      return x + qw <= grid_w && y + qh <= grid_h &&
+             occupied_sums.is_rect_empty(Rect{x, y, qw, qh});
+    });
+    q.total_positions =
+        q.position_sums.occupied_in(Rect{0, 0, grid_w, grid_h});
+    queries.push_back(std::move(q));
+  };
+  const int w = m.spec.footprint_width();
+  const int h = m.spec.footprint_height();
+  add(w, h);
+  if (options.allow_rotation && w != h) add(h, w);
+  return queries;
 }
 
 FtiResult evaluate_fti(const Placement& placement, const FtiOptions& options,
@@ -154,56 +135,112 @@ Rect anchor_clamp(const Rect& region, int w, int h) {
               region.height - h + 1};
 }
 
-/// Count and bounding box (absolute coordinates) of the valid
-/// (bad == 0) anchors of `grid` inside the absolute clamp rectangle —
-/// one pointer scan over the clamp, clipped to the anchor area. The
-/// scan stops early once the anchors provably spread wider than one
-/// footprint (bbox wider than w or taller than h): that alone makes the
-/// orientation block nothing, and the caller never needs the exact
-/// count (`spread` set, count/bbox partial).
+/// ORs `row` shifted down by `shift` bits into itself: bit i gains bit
+/// i + shift, across word boundaries. Ascending order reads every word
+/// before it is written.
+void or_shifted_down(std::uint64_t* row, int words, int shift) {
+  const int word_shift = shift / 64;
+  const int bit_shift = shift % 64;
+  for (int k = 0; k + word_shift < words; ++k) {
+    const int src = k + word_shift;
+    std::uint64_t carried = row[src] >> bit_shift;
+    if (bit_shift != 0 && src + 1 < words) {
+      carried |= row[src + 1] << (64 - bit_shift);
+    }
+    row[k] |= carried;
+  }
+}
+
+/// Bits [lo, hi) of word `k` of a row (bit positions row-relative).
+std::uint64_t word_mask(int k, int lo, int hi) {
+  const int first = std::max(lo - 64 * k, 0);
+  const int last = std::min(hi - 64 * k, 64);
+  if (first >= last) return 0;
+  const std::uint64_t below_last =
+      last == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << last) - 1;
+  return below_last & (~std::uint64_t{0} << first);
+}
+
+/// Count and bounding box (absolute coordinates) of the valid anchors
+/// of a w-by-h footprint over bitboard `occupied` (`words` words per
+/// domain row) inside the absolute clamp rectangle, clipped to the
+/// anchor area. Each anchor row ORs the footprint's h bitboard rows and
+/// dilates them across w columns by shift-OR, so a clear bit x marks a
+/// free footprint at x. The scan stops early once the anchors provably
+/// spread wider than one footprint (bbox wider than w or taller than
+/// h): that alone makes the orientation block nothing, and the caller
+/// never needs the exact count (`spread` set, count/bbox partial).
 struct AnchorStats {
   long long count = 0;
   Rect bbox;  ///< absolute; empty when count == 0
   bool spread = false;  ///< anchors provably spread beyond one footprint
 };
 
-AnchorStats scan_anchors(const FtiIncrementalEvaluator::OrientationGrid& grid,
-                         const Rect& domain, const Rect& clamp) {
+AnchorStats scan_anchors(const std::vector<std::uint64_t>& occupied,
+                         int words, const Rect& domain, int w, int h,
+                         const Rect& clamp,
+                         std::vector<std::uint64_t>& row) {
   AnchorStats stats;
   if (clamp.empty()) return stats;
   Rect local{clamp.x - domain.x, clamp.y - domain.y, clamp.width,
              clamp.height};
-  local = local.intersection(Rect{0, 0, grid.bad.width() - grid.w + 1,
-                                  grid.bad.height() - grid.h + 1});
+  local = local.intersection(
+      Rect{0, 0, domain.width - w + 1, domain.height - h + 1});
   if (local.empty()) return stats;
+  // Only the words holding clamp anchors or the footprint cells to
+  // their right take part: `span` words from `first_word`, the first
+  // half of `row` the anchor row being derived, the second its clamp
+  // mask.
+  const int first_word = local.x / 64;
+  const int span = (local.right() + w - 2) / 64 - first_word + 1;
+  row.resize(2 * static_cast<std::size_t>(span));
+  std::uint64_t* blocked = row.data();
+  std::uint64_t* clamp_mask = blocked + span;
+  for (int k = 0; k < span; ++k) {
+    clamp_mask[k] = word_mask(k, local.x - 64 * first_word,
+                              local.right() - 64 * first_word);
+  }
+  const std::uint64_t* rows = occupied.data() + first_word;
   int min_x = 0, max_x = 0, min_y = 0, max_y = 0;
   for (int y = local.y; y < local.top(); ++y) {
-    const std::uint16_t* row = &grid.bad.at(0, y);
-    if (stats.count > 0 && y - min_y + 1 > grid.h) {
-      // Any further anchor stretches the bbox taller than h.
-      for (int x = local.x; x < local.right(); ++x) {
-        if (row[x] == 0) {
-          stats.spread = true;
-          return stats;
-        }
-      }
-      continue;
+    // Bit x of `blocked`: some footprint row has an occupied cell in
+    // column x, then (dilation) in columns [x, x + w).
+    const std::uint64_t* src = rows + static_cast<std::size_t>(y) * words;
+    std::copy(src, src + span, blocked);
+    for (int dy = 1; dy < h; ++dy) {
+      src += words;
+      for (int k = 0; k < span; ++k) blocked[k] |= src[k];
     }
-    for (int x = local.x; x < local.right(); ++x) {
-      if (row[x] != 0) continue;
-      if (stats.count == 0) {
-        min_x = max_x = x;
-        min_y = max_y = y;
-      } else {
-        min_x = std::min(min_x, x);
-        max_x = std::max(max_x, x);
-        max_y = y;  // rows scanned bottom-up: the last hit is the top
-        if (max_x - min_x + 1 > grid.w) {
-          stats.spread = true;
-          return stats;
-        }
-      }
-      ++stats.count;
+    for (int covered = 1; covered < w;) {
+      const int shift = std::min(covered, w - covered);
+      or_shifted_down(blocked, span, shift);
+      covered += shift;
+    }
+    int row_min = -1, row_max = 0;
+    for (int k = 0; k < span; ++k) {
+      const std::uint64_t free = ~blocked[k] & clamp_mask[k];
+      if (free == 0) continue;
+      if (row_min < 0) row_min = 64 * k + std::countr_zero(free);
+      row_max = 64 * k + 63 - std::countl_zero(free);
+    }
+    if (row_min < 0) continue;
+    row_min += 64 * first_word;
+    row_max += 64 * first_word;
+    if (stats.count == 0) {
+      min_x = row_min;
+      max_x = row_max;
+      min_y = y;
+    } else {
+      min_x = std::min(min_x, row_min);
+      max_x = std::max(max_x, row_max);
+    }
+    max_y = y;  // rows scanned bottom-up: the last hit is the top
+    if (max_x - min_x + 1 > w || max_y - min_y + 1 > h) {
+      stats.spread = true;
+      return stats;
+    }
+    for (int k = 0; k < span; ++k) {
+      stats.count += std::popcount(~blocked[k] & clamp_mask[k]);
     }
   }
   if (stats.count > 0) {
@@ -238,50 +275,6 @@ int subtract_rect(const Rect& a, const Rect& b, Rect out[4]) {
   return count;
 }
 
-/// One orientation's bad-count grid from the occupancy counts via
-/// sliding footprint-window sums over the "covered by at least one
-/// neighbour" indicator: `bad` holds the occupied-cell count under
-/// every anchor (0 = valid). Full builds only — proposals patch the
-/// grid incrementally.
-void sliding_grids_into(const Matrix<std::uint16_t>& occupancy,
-                        FtiIncrementalEvaluator::OrientationGrid& grid,
-                        Matrix<int>& row_sums, std::vector<int>& column_acc) {
-  const int grid_w = occupancy.width();
-  const int grid_h = occupancy.height();
-  const int w = grid.w;
-  const int h = grid.h;
-  grid.bad.reset(grid_w, grid_h, 0);
-  if (w > grid_w || h > grid_h) return;  // no anchor fits
-
-  row_sums.reset(grid_w, grid_h, 0);
-  for (int y = 0; y < grid_h; ++y) {
-    int sum = 0;
-    for (int x = 0; x < w; ++x) sum += occupancy.at(x, y) > 0 ? 1 : 0;
-    row_sums.at(0, y) = sum;
-    for (int x = 1; x + w <= grid_w; ++x) {
-      sum += (occupancy.at(x + w - 1, y) > 0 ? 1 : 0) -
-             (occupancy.at(x - 1, y) > 0 ? 1 : 0);
-      row_sums.at(x, y) = sum;
-    }
-  }
-  column_acc.assign(static_cast<std::size_t>(grid_w), 0);
-  for (int y = 0; y < grid_h; ++y) {
-    for (int x = 0; x + w <= grid_w; ++x) {
-      column_acc[static_cast<std::size_t>(x)] += row_sums.at(x, y);
-      if (y >= h) {
-        column_acc[static_cast<std::size_t>(x)] -= row_sums.at(x, y - h);
-      }
-    }
-    if (y + 1 >= h) {
-      const int ay = y + 1 - h;
-      for (int x = 0; x + w <= grid_w; ++x) {
-        grid.bad.at(x, ay) =
-            static_cast<std::uint16_t>(column_acc[static_cast<std::size_t>(x)]);
-      }
-    }
-  }
-}
-
 }  // namespace
 
 void FtiIncrementalEvaluator::build_module(const Placement& placement,
@@ -293,15 +286,20 @@ void FtiIncrementalEvaluator::build_module(const Placement& placement,
   ModuleGrids& grids = queries_[static_cast<std::size_t>(index)];
   const int grid_w = domain_.width;
   const int grid_h = domain_.height;
+  const int words = words_per_row();
   grids.occupancy.reset(grid_w, grid_h, 0);
+  grids.occupied.assign(static_cast<std::size_t>(words) * grid_h, 0);
   for (const int neighbor : neighbors_[static_cast<std::size_t>(index)]) {
     Rect fp = placement.module(neighbor).footprint();
     fp.x -= domain_.x;
     fp.y -= domain_.y;
     const Rect clipped = fp.intersection(Rect{0, 0, grid_w, grid_h});
     for (int y = clipped.y; y < clipped.top(); ++y) {
+      std::uint64_t* bits =
+          &grids.occupied[static_cast<std::size_t>(y) * words];
       for (int x = clipped.x; x < clipped.right(); ++x) {
         ++grids.occupancy.at(x, y);
+        bits[x >> 6] |= std::uint64_t{1} << (x & 63);
       }
     }
   }
@@ -309,13 +307,8 @@ void FtiIncrementalEvaluator::build_module(const Placement& placement,
   const int w = spec.footprint_width();
   const int h = spec.footprint_height();
   grids.orientation_count = (options_.allow_rotation && w != h) ? 2 : 1;
-  for (int o = 0; o < grids.orientation_count; ++o) {
-    OrientationGrid& grid = grids.orientations[o];
-    grid.w = o == 0 ? w : h;
-    grid.h = o == 0 ? h : w;
-    sliding_grids_into(grids.occupancy, grid, build_scratch_.row_sums,
-                       build_scratch_.column_acc);
-  }
+  grids.orientations[0] = Orientation{w, h};
+  grids.orientations[1] = Orientation{h, w};
 }
 
 void FtiIncrementalEvaluator::apply_move_delta(int mover, const Rect& from,
@@ -329,56 +322,62 @@ void FtiIncrementalEvaluator::apply_move_delta(int mover, const Rect& from,
   const int removed_count = subtract_rect(from, to, removed);
   const int added_count = subtract_rect(to, from, added);
 
-  for (const int neighbor : neighbors_[static_cast<std::size_t>(mover)]) {
-    ModuleGrids& grids = queries_[static_cast<std::size_t>(neighbor)];
-    const int grid_w = grids.occupancy.width();
-    const int grid_h = grids.occupancy.height();
-    const Rect bounds{0, 0, grid_w, grid_h};
-
-    // A cell crossing between covered and free relaxes or constrains
-    // every anchor whose footprint contains it: a w-by-h patch of bad
-    // counts, applied with pointer rows — the delta engine's innermost
-    // FTI loop. Validity is re-read by the next derive, so no further
-    // bookkeeping happens here.
-    const auto flip_cell = [&](int x, int y, bool now_occupied) {
-      if (touch_stamp != 0) {
-        visit_stamp_[static_cast<std::size_t>(neighbor)] = touch_stamp;
-      }
-      for (int o = 0; o < grids.orientation_count; ++o) {
-        OrientationGrid& grid = grids.orientations[o];
-        const int x1 = std::max(0, x - grid.w + 1);
-        const int x2 = std::min(x, grid_w - grid.w);
-        const int y1 = std::max(0, y - grid.h + 1);
-        const int y2 = std::min(y, grid_h - grid.h);
-        const std::uint16_t delta =
-            now_occupied ? 1 : static_cast<std::uint16_t>(-1);
-        for (int ay = y1; ay <= y2; ++ay) {
-          std::uint16_t* bad_row = &grid.bad.at(0, ay);
-          for (int ax = x1; ax <= x2; ++ax) {
-            bad_row[ax] = static_cast<std::uint16_t>(bad_row[ax] + delta);
-          }
-        }
-      }
-    };
-    const auto patch = [&](const Rect& rect_abs, bool adding) {
-      Rect local = rect_abs;
+  // The strips in domain coordinates, the same for every neighbour.
+  struct Strip {
+    Rect cells;
+    std::uint16_t delta;  ///< +1 or -1 (mod 2^16)
+    std::uint16_t edge;   ///< count before a 0-crossing
+  };
+  Strip strips[8];
+  int strip_count = 0;
+  const Rect bounds{0, 0, domain_.width, domain_.height};
+  const auto add_strips = [&](const Rect* rects, int n, bool adding) {
+    for (int r = 0; r < n; ++r) {
+      Rect local = rects[r];
       local.x -= domain_.x;
       local.y -= domain_.y;
       local = local.intersection(bounds);
-      for (int y = local.y; y < local.top(); ++y) {
-        std::uint16_t* occupancy_row = &grids.occupancy.at(0, y);
-        for (int x = local.x; x < local.right(); ++x) {
-          std::uint16_t& count = occupancy_row[x];
-          if (adding) {
-            if (count++ == 0) flip_cell(x, y, /*now_occupied=*/true);
-          } else {
-            if (--count == 0) flip_cell(x, y, /*now_occupied=*/false);
+      if (local.empty()) continue;
+      strips[strip_count++] =
+          Strip{local, static_cast<std::uint16_t>(adding ? 1 : 0xFFFF),
+                static_cast<std::uint16_t>(adding ? 0 : 1)};
+    }
+  };
+  add_strips(removed, removed_count, false);
+  add_strips(added, added_count, true);
+
+  const int words = words_per_row();
+  for (const int neighbor : neighbors_[static_cast<std::size_t>(mover)]) {
+    ModuleGrids& grids = queries_[static_cast<std::size_t>(neighbor)];
+    // A count crossing 0 flips the cell between covered and free: one
+    // bitboard bit, gathered branch-free per word. Anchor validity is
+    // re-read by the next derive, so no further bookkeeping happens
+    // here.
+    std::uint64_t crossed = 0;
+    for (int s = 0; s < strip_count; ++s) {
+      const Strip& strip = strips[s];
+      const Rect& cells = strip.cells;
+      for (int y = cells.y; y < cells.top(); ++y) {
+        std::uint16_t* counts = &grids.occupancy.at(0, y);
+        std::uint64_t* bits =
+            &grids.occupied[static_cast<std::size_t>(y) * words];
+        for (int x = cells.x; x < cells.right();) {
+          const int word = x >> 6;
+          const int end = std::min(cells.right(), (word + 1) * 64);
+          std::uint64_t toggles = 0;
+          for (; x < end; ++x) {
+            const std::uint16_t before = counts[x];
+            counts[x] = static_cast<std::uint16_t>(before + strip.delta);
+            toggles |= std::uint64_t{before == strip.edge} << (x & 63);
           }
+          bits[word] ^= toggles;
+          crossed |= toggles;
         }
       }
-    };
-    for (int r = 0; r < removed_count; ++r) patch(removed[r], false);
-    for (int a = 0; a < added_count; ++a) patch(added[a], true);
+    }
+    if (crossed != 0 && touch_stamp != 0) {
+      visit_stamp_[static_cast<std::size_t>(neighbor)] = touch_stamp;
+    }
   }
 }
 
@@ -399,9 +398,12 @@ FtiIncrementalEvaluator::ModuleBlock FtiIncrementalEvaluator::derive_stats(
       stats.anchor_bbox[o] = Rect{};
       continue;
     }
-    const OrientationGrid& grid = grids.orientations[o];
-    const AnchorStats scanned = scan_anchors(
-        grid, domain_, anchor_clamp(region_, grid.w, grid.h));
+    const Orientation& orientation = grids.orientations[o];
+    const int w = orientation.w;
+    const int h = orientation.h;
+    const AnchorStats scanned =
+        scan_anchors(grids.occupied, words_per_row(), domain_, w, h,
+                     anchor_clamp(region_, w, h), scan_row_);
     // An orientation without region-valid anchors offers no relocation at
     // all; it constrains the blocked-cell intersection with "everything".
     if (scanned.count == 0 && !scanned.spread) {
@@ -427,8 +429,8 @@ FtiIncrementalEvaluator::ModuleBlock FtiIncrementalEvaluator::derive_stats(
     // min anchor + extent) per axis — empty as soon as the anchors
     // spread further apart than one footprint reaches.
     const Rect& bb = scanned.bbox;
-    const Rect common{bb.right() - 1, bb.top() - 1, grid.w - bb.width + 1,
-                      grid.h - bb.height + 1};
+    const Rect common{bb.right() - 1, bb.top() - 1, w - bb.width + 1,
+                      h - bb.height + 1};
     if (common.empty()) {
       core_started = true;
       core_empty = true;
@@ -571,7 +573,7 @@ void FtiIncrementalEvaluator::update(const Placement& placement,
   // Dirtied neighbours whose occupancy actually crossed: their anchor
   // sets changed, so re-derive their stats (one clamp scan per
   // orientation). Neighbours the move patched without any crossing keep
-  // bit-identical grids and fall through to the region handling below.
+  // identical bitboards and fall through to the region handling below.
   for (int c = 0; c < moved_count; ++c) {
     for (const int neighbor :
          neighbors_[static_cast<std::size_t>(moved[c].index)]) {
@@ -601,7 +603,7 @@ void FtiIncrementalEvaluator::update(const Placement& placement,
 
   // The region moved under everyone — but almost nobody's block
   // actually changes, and two monotonicity certificates prove it
-  // without touching the anchor grids. Growth: a region containing the
+  // without scanning any bitboard. Growth: a region containing the
   // stats' reference region only gains anchors, and a gained anchor can
   // only shrink the blocked-cell intersection — an empty core stays
   // empty, so the (empty) block stands. Shrink: a region inside the
@@ -624,10 +626,10 @@ void FtiIncrementalEvaluator::update(const Placement& placement,
       bool sets_unchanged = true;
       for (int o = 0; o < grids.orientation_count; ++o) {
         if (current.anchors[o] == 0) continue;  // empty shrinks to empty
-        const OrientationGrid& grid = grids.orientations[o];
+        const Orientation& orientation = grids.orientations[o];
         // Unknown (sentinel, -1) stats have an empty bbox, which
         // contains() rejects — they always re-derive.
-        if (!anchor_clamp(region, grid.w, grid.h)
+        if (!anchor_clamp(region, orientation.w, orientation.h)
                  .contains(current.anchor_bbox[o])) {
           sets_unchanged = false;
           break;
@@ -657,8 +659,9 @@ void FtiIncrementalEvaluator::restore(Backup& backup) {
     blocked_ = backup.blocked;
     return;
   }
-  // The grid patches are exact integer increments: applying the swapped
-  // deltas in reverse order undoes them bit for bit.
+  // The count patches are exact integer increments and each 0-crossing
+  // toggles its bit back: applying the swapped deltas in reverse order
+  // undoes them bit for bit.
   for (int c = backup.moved_count - 1; c >= 0; --c) {
     apply_move_delta(backup.moved[c].index, backup.moved[c].to,
                      backup.moved[c].from);

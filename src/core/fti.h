@@ -96,47 +96,33 @@ struct OrientationQuery {
   bool relocatable_avoiding(Point cell) const;
 };
 
-/// Reusable intermediates of one relocation-query build (the retained
-/// OrientationQuery prefix sums are freshly allocated; everything else is
-/// recycled across builds). The incremental evaluator reuses the
-/// occupancy grid and the sliding-window buffers; the public
-/// `build_relocation_queries` uses the occupancy prefix sums.
-struct FtiBuildScratch {
-  Matrix<std::uint8_t> occupied;
-  PrefixSum2D occupied_sums;
-  Matrix<int> row_sums;        ///< horizontal footprint-window sums
-  std::vector<int> column_acc; ///< vertical sliding accumulator
-};
-
 /// Builds the queries (one or two orientations) for module `index` of
 /// `placement` over `region` — the per-module unit of work `evaluate_fti`
-/// performs for every module on every call, and exactly what the
-/// incremental evaluator caches.
+/// performs for every module on every call.
 std::vector<OrientationQuery> build_relocation_queries(
     const Placement& placement, int index, const Rect& region,
     const FtiOptions& options);
 
-/// Same, with caller-owned scratch buffers (the incremental evaluator's
-/// hot path: several builds per annealing proposal).
-std::vector<OrientationQuery> build_relocation_queries(
-    const Placement& placement, int index, const Rect& region,
-    const FtiOptions& options, FtiBuildScratch& scratch);
-
 /// Caches per-module relocation state — and the per-cell coverage state
 /// derived from it — across annealing proposals.
 ///
-/// A module's relocation grids live over one shared, region-independent
+/// A module's relocation state lives over one shared, region-independent
 /// *domain* (the canvas, united with the evaluation region and grown on
-/// demand) and depend only on the footprints of the modules it
+/// demand) and depends only on the footprints of the modules it
 /// time-overlaps — not on the region and not on the module's own
-/// position. They are never rebuilt on the hot path: a move patches
-/// exactly the cells of the moved footprints' symmetric difference into
-/// each temporal neighbour's occupancy counts and cascades 0-crossings
-/// into the per-anchor bad-cell counts beneath them — O(dirty) integer
-/// increments, all exactly invertible on revert. Region bounds are
-/// applied at derive time with clamped anchor scans, which
-/// test_fti/test_incremental_cost pin to be cell-for-cell identical to
-/// `evaluate_fti` over the region.
+/// position. It is two views of the same cells: a count of temporal
+/// neighbour footprints per cell (neighbours may overlap one another)
+/// and an occupancy bitboard, bit x of row y set iff that count is
+/// nonzero, `ceil(domain width / 64)` words per row. Nothing is rebuilt
+/// on the hot path: a move adjusts the counts over the moved
+/// footprints' symmetric difference, and a count crossing 0 toggles one
+/// bit — O(dirty) integer steps, all exactly invertible on revert.
+/// Anchor validity is derived on demand per clamped anchor row: OR the
+/// footprint's h bitboard rows, dilate them across w columns by
+/// shift-OR, and read the free anchors' count and extremes off the
+/// complement with popcount and bit scans. Region bounds are applied by
+/// that clamp, which test_fti/test_incremental_cost pin to be
+/// cell-for-cell identical to `evaluate_fti` over the region.
 ///
 /// Coverage itself is maintained incrementally too: the cells a module
 /// *blocks* (cells of its footprint no relocation can avoid) form the
@@ -154,24 +140,21 @@ class FtiIncrementalEvaluator {
   explicit FtiIncrementalEvaluator(FtiOptions options = {})
       : options_(options) {}
 
-  /// One orientation's valid-anchor data over the shared domain: anchor
-  /// (x, y) is valid iff a w-by-h footprint there avoids every temporal
-  /// neighbour. `bad.at(x, y)` counts the occupied cells under that
-  /// footprint (0 = valid); a derive scans the region-clamped anchor
-  /// rectangle for count and extremes in one pass.
-  struct OrientationGrid {
+  /// One orientation's footprint extent: anchor (x, y) is valid iff a
+  /// w-by-h footprint there lies in the domain and covers no bitboard
+  /// bit.
+  struct Orientation {
     int w = 0;
     int h = 0;
-    Matrix<std::uint16_t> bad;  ///< occupied cells under each anchor
   };
 
-  /// One module's cached relocation state: how many temporal-neighbour
-  /// footprints cover each domain cell, and the anchor grids derived
-  /// from the "covered by at least one" indicator.
+  /// One module's cached relocation state over the shared domain.
   struct ModuleGrids {
     Matrix<std::uint16_t> occupancy;  ///< neighbour footprints per cell
+    /// Bitboard rows of `occupancy > 0`, `words_per_row` words each.
+    std::vector<std::uint64_t> occupied;
     int orientation_count = 0;
-    OrientationGrid orientations[2];
+    Orientation orientations[2];
   };
 
   /// One module's contribution to a proposal: where it was and where it
@@ -252,22 +235,25 @@ class FtiIncrementalEvaluator {
   bool is_cell_covered(Point cell) const;
 
  private:
-  /// Builds module `index`'s grids over the shared domain from scratch
-  /// (full builds only; the hot path patches instead).
+  /// Builds module `index`'s counts and bitboard over the shared domain
+  /// from scratch (full builds only; the hot path patches instead).
   void build_module(const Placement& placement, int index);
 
-  /// Patches module `mover`'s temporal neighbours' grids with its
+  /// Patches module `mover`'s temporal neighbours' counts with its
   /// footprint change `from` -> `to` (the exact inverse of the swapped
   /// call). Neighbours whose occupancy actually crossed between covered
   /// and free are marked with `touch_stamp` in `visit_stamp_` — the
-  /// others' anchor grids are bit-identical and need no re-derive.
+  /// others' bitboards are unchanged and need no re-derive.
   void apply_move_delta(int mover, const Rect& from, const Rect& to,
                         std::uint64_t touch_stamp = 0);
 
   /// Derives module `index`'s anchor stats, core and `unrelocatable`
-  /// flag against the current region from its cached grids (count and
+  /// flag against the current region from its bitboard (count and
   /// extremes from one clamp scan per orientation).
   ModuleBlock derive_stats(int index) const;
+
+  /// Bitboard words per domain row.
+  int words_per_row() const { return (domain_.width + 63) / 64; }
 
   /// Fills `block` of `stats` from its core against module `index`'s
   /// current footprint clipped to the region.
@@ -298,7 +284,8 @@ class FtiIncrementalEvaluator {
   /// dedup).
   std::vector<std::uint64_t> visit_stamp_;
   std::uint64_t stamp_ = 0;
-  FtiBuildScratch build_scratch_;
+  /// `derive_stats` scratch: one dilated anchor row and its clamp mask.
+  mutable std::vector<std::uint64_t> scan_row_;
 };
 
 }  // namespace dmfb

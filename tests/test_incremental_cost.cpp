@@ -36,9 +36,22 @@ Schedule mixed_schedule(int modules, Rng& rng) {
   return s;
 }
 
-/// A placement with every anchor randomized (in canvas, any orientation).
-Placement random_placement(const Schedule& schedule, int canvas, Rng& rng) {
-  Placement p(schedule, canvas, canvas);
+/// Where a check's initial placement lives: the canvas, the FTI options
+/// the evaluator prices with, and anchors pinned after the random
+/// scatter — across a bitboard word boundary (x = 63/64, 127/128), or
+/// partly outside the canvas so the shared domain grows past it.
+struct Layout {
+  int width = 0;
+  int height = 0;
+  FtiOptions fti;
+  std::vector<std::pair<int, Point>> pinned;
+};
+
+/// A placement with every anchor randomized (in canvas, any orientation),
+/// then the layout's pins applied.
+Placement random_placement(const Schedule& schedule, const Layout& layout,
+                           Rng& rng) {
+  Placement p(schedule, layout.width, layout.height);
   MoveOptions scatter;
   scatter.single_move_probability = 1.0;
   scatter.rotate_probability = 0.5;
@@ -46,8 +59,27 @@ Placement random_placement(const Schedule& schedule, int canvas, Rng& rng) {
   for (int i = 0; i < 3 * p.module_count(); ++i) {
     apply_random_move(p, 1.0, scatter, rng);
   }
+  for (const auto& [index, anchor] : layout.pinned) p.set_anchor(index, anchor);
   return p;
 }
+
+/// The 16x16 canvas of the cross-checks and the 12x12 one of the audits.
+const Layout kCanvas16{.width = 16, .height = 16, .fti = {}, .pinned = {}};
+const Layout kCanvas12{.width = 12, .height = 12, .fti = {}, .pinned = {}};
+/// Rows of two and three bitboard words, with modules straddling each
+/// word boundary (their widths are at least 2 for the seeds below).
+const Layout kTwoWords{.width = 70, .height = 12, .fti = {},
+                       .pinned = {{0, {62, 1}}, {1, {63, 6}}}};
+const Layout kThreeWords{.width = 130, .height = 10, .fti = {},
+                         .pinned = {{0, {62, 0}}, {1, {126, 4}},
+                                    {2, {127, 1}}}};
+/// Relocation without transposition.
+const Layout kNoRotation{.width = 16, .height = 16,
+                         .fti = {.allow_rotation = false}, .pinned = {}};
+/// One module hangs off the left edge, one off the top, so the domain
+/// starts left of the canvas and its rows span two words.
+const Layout kOutsideCanvas{.width = 66, .height = 10, .fti = {},
+                            .pinned = {{0, {-2, 3}}, {1, {40, 8}}}};
 
 void expect_matches_evaluator(const IncrementalPlacementState& state,
                               const CostEvaluator& evaluator) {
@@ -67,14 +99,14 @@ void expect_matches_evaluator(const IncrementalPlacementState& state,
 /// Random move sequence with random commit/revert decisions; the tracked
 /// cost must equal a fresh evaluation after every step.
 void run_cross_check(double beta, std::vector<Point> defects,
-                     std::uint64_t seed) {
+                     std::uint64_t seed, const Layout& layout = kCanvas16) {
   Rng rng(seed);
   const Schedule schedule = mixed_schedule(8, rng);
-  const Placement initial = random_placement(schedule, 16, rng);
+  const Placement initial = random_placement(schedule, layout, rng);
 
   CostWeights weights;
   weights.beta = beta;
-  CostEvaluator evaluator(weights);
+  CostEvaluator evaluator(weights, layout.fti);
   evaluator.set_defects(std::move(defects));
 
   IncrementalPlacementState state(initial, evaluator);
@@ -118,6 +150,19 @@ TEST(IncrementalCostTest, TracksEvaluatorWithDefects) {
   run_cross_check(/*beta=*/30.0, defects, /*seed=*/32);
 }
 
+TEST(IncrementalCostTest, TracksEvaluatorOnWideCanvases) {
+  run_cross_check(/*beta=*/30.0, {}, /*seed=*/23, kTwoWords);
+  run_cross_check(/*beta=*/30.0, {}, /*seed=*/24, kThreeWords);
+}
+
+TEST(IncrementalCostTest, TracksEvaluatorWithoutRotation) {
+  run_cross_check(/*beta=*/30.0, {}, /*seed=*/25, kNoRotation);
+}
+
+TEST(IncrementalCostTest, TracksEvaluatorWithModuleOutsideCanvas) {
+  run_cross_check(/*beta=*/30.0, {}, /*seed=*/26, kOutsideCanvas);
+}
+
 void expect_identical_outcomes(const PlacementOutcome& copy,
                                const PlacementOutcome& delta) {
   EXPECT_EQ(copy.stats.proposals, delta.stats.proposals);
@@ -144,14 +189,16 @@ void expect_identical_outcomes(const PlacementOutcome& copy,
 /// Seed-for-seed equivalence of the copying oracle and the delta engine
 /// over a shortened (but real) annealing run.
 void run_engine_equivalence(double beta, std::vector<Point> defects,
-                            std::uint64_t seed) {
+                            std::uint64_t seed,
+                            const Layout& layout = kCanvas16) {
   Rng rng(seed);
   const Schedule schedule = mixed_schedule(7, rng);
-  const Placement initial = random_placement(schedule, 16, rng);
+  const Placement initial = random_placement(schedule, layout, rng);
 
   PlacerContext context;
-  context.canvas_width = 16;
-  context.canvas_height = 16;
+  context.canvas_width = layout.width;
+  context.canvas_height = layout.height;
+  context.fti_options = layout.fti;
   context.annealing.initial_temperature = 200.0;
   context.annealing.cooling_rate = 0.8;
   context.annealing.iterations_per_module = 30;
@@ -174,6 +221,10 @@ TEST(IncrementalCostTest, EnginesAgreeSeedForSeedWithFti) {
   run_engine_equivalence(/*beta=*/30.0, {}, /*seed=*/201);
 }
 
+TEST(IncrementalCostTest, EnginesAgreeSeedForSeedOnWideCanvas) {
+  run_engine_equivalence(/*beta=*/30.0, {}, /*seed=*/202, kTwoWords);
+}
+
 TEST(IncrementalCostTest, EnginesAgreeSeedForSeedWithDefects) {
   run_engine_equivalence(/*beta=*/0.0, {{2, 2}, {9, 9}}, /*seed=*/301);
 }
@@ -184,7 +235,7 @@ TEST(IncrementalCostTest, GenerateThenApplyEqualsApplyRandomMove) {
   // what the in-place mutation does.
   Rng seed_rng(7);
   const Schedule schedule = mixed_schedule(6, seed_rng);
-  Placement a = random_placement(schedule, 16, seed_rng);
+  Placement a = random_placement(schedule, kCanvas16, seed_rng);
   Placement b = a;
 
   MoveOptions moves;
@@ -206,21 +257,23 @@ TEST(IncrementalCostTest, GenerateThenApplyEqualsApplyRandomMove) {
 }
 
 /// The coverage-grid audit (the per-cell counterpart of
-/// run_cross_check): 300+ random moves with random commit/revert
+/// run_cross_check): `steps` random moves with random commit/revert
 /// decisions, pinning the incremental evaluator's per-cell coverage
 /// state against BOTH reference evaluators after every operation —
 /// `evaluate_fti`'s mask and the definition-faithful
 /// `is_cell_covered_reference` — including mid-proposal, where the
 /// eager state reflects the proposed placement.
-void run_coverage_audit(double beta, double gamma, std::uint64_t seed) {
+void run_coverage_audit(double beta, double gamma, std::uint64_t seed,
+                        const Layout& layout = kCanvas12,
+                        int steps = 320) {
   Rng rng(seed);
   const Schedule schedule = mixed_schedule(6, rng);
-  const Placement initial = random_placement(schedule, 12, rng);
+  const Placement initial = random_placement(schedule, layout, rng);
 
   CostWeights weights;
   weights.beta = beta;
   weights.gamma = gamma;
-  CostEvaluator evaluator(weights);
+  CostEvaluator evaluator(weights, layout.fti);
   if (gamma != 0.0) {
     std::vector<RouteLink> links;
     for (int i = 0; i < initial.module_count(); ++i) {
@@ -261,10 +314,9 @@ void run_coverage_audit(double beta, double gamma, std::uint64_t seed) {
 
   MoveOptions moves;  // defaults: displacements, swaps and rotations
   audit_coverage("initial", -1);
-  const int kSteps = 320;
-  for (int step = 0; step < kSteps; ++step) {
+  for (int step = 0; step < steps; ++step) {
     const double fraction =
-        1.0 - static_cast<double>(step) / static_cast<double>(kSteps);
+        1.0 - static_cast<double>(step) / static_cast<double>(steps);
     const PlacementMove move =
         generate_random_move(state.placement(), fraction, moves, rng);
     const double before = state.cost();
@@ -297,6 +349,99 @@ TEST(IncrementalCostTest, CoverageAuditWithFtiAndRoutePressure) {
 
 TEST(IncrementalCostTest, CoverageAuditRoutePressureOnly) {
   run_coverage_audit(/*beta=*/0.0, /*gamma=*/0.05, /*seed=*/404);
+}
+
+// The wide audits take fewer steps: the definition-faithful reference
+// enumerates maximal empty rectangles over the whole region per cell.
+TEST(IncrementalCostTest, CoverageAuditOnWideCanvases) {
+  run_coverage_audit(/*beta=*/30.0, /*gamma=*/0.0, /*seed=*/405, kTwoWords,
+                     /*steps=*/120);
+  run_coverage_audit(/*beta=*/30.0, /*gamma=*/0.0, /*seed=*/406, kThreeWords,
+                     /*steps=*/120);
+}
+
+TEST(IncrementalCostTest, CoverageAuditWithoutRotation) {
+  run_coverage_audit(/*beta=*/30.0, /*gamma=*/0.0, /*seed=*/407, kNoRotation);
+}
+
+TEST(IncrementalCostTest, CoverageAuditWithModuleOutsideCanvas) {
+  run_coverage_audit(/*beta=*/30.0, /*gamma=*/0.0, /*seed=*/408,
+                     kOutsideCanvas, /*steps=*/160);
+}
+
+/// A module boxed between two concurrent walls on a strip one footprint
+/// tall: its only relocation anchors lie in the gap between the walls.
+/// Proposals slide each wall edge a column at a time across the bitboard
+/// word boundary at x = `boundary`, then jump the boxed module over it,
+/// so its whole footprint is patched into the walls' bitboards straddling
+/// two words. The incremental evaluator's per-cell coverage must match
+/// `evaluate_fti` after every update and every restore.
+void run_word_boundary_sweep(int boundary, FtiOptions options) {
+  Schedule schedule;
+  const auto add = [&](int index, int functional_width) {
+    const ModuleSpec spec{"m", ModuleKind::kMixer, functional_width, 3, 10.0};
+    schedule.add(ScheduledModule{index, "M", spec, 0.0, 10.0, -1, -1});
+  };
+  add(0, 2);              // the boxed module: 4x5 footprint
+  add(1, boundary - 10);  // left wall, (boundary - 8) wide
+  add(2, 6);              // right wall, 8 wide
+  const Rect region{0, 0, boundary + 16, 5};
+  Placement placement(schedule, region.width, region.height);
+  placement.set_anchor(0, {boundary - 8, 0});
+  placement.set_anchor(1, {0, 0});
+  placement.set_anchor(2, {boundary - 4, 0});
+
+  FtiIncrementalEvaluator fti(options);
+  FtiIncrementalEvaluator::Backup backup;
+  const auto check = [&](const char* when, int step) {
+    const FtiResult reference = evaluate_fti(placement, options, region);
+    EXPECT_EQ(fti.covered_cells(), reference.covered_cells)
+        << when << " step " << step;
+    for (int y = region.y; y < region.top(); ++y) {
+      for (int x = region.x; x < region.right(); ++x) {
+        ASSERT_EQ(fti.is_cell_covered({x, y}), reference.covered.at(x, y) != 0)
+            << when << " step " << step << " cell (" << x << "," << y << ")";
+      }
+    }
+  };
+  fti.update(placement, region, nullptr, 0, backup);
+  check("built", -1);
+
+  std::vector<std::pair<int, int>> steps;  // (module, columns right)
+  for (int i = 0; i < 12; ++i) steps.emplace_back(2, 1);  // gap end
+  for (int i = 0; i < 12; ++i) steps.emplace_back(1, 1);  // gap start
+  for (const int dx : {5, 1, 1, 1, -7}) steps.emplace_back(0, dx);
+  for (std::size_t step = 0; step < steps.size(); ++step) {
+    const auto [index, dx] = steps[step];
+    const Point from = placement.module(index).anchor;
+    const Point to{from.x + dx, from.y};
+    const Rect footprint = placement.module(index).footprint();
+    const FtiIncrementalEvaluator::MovedModule move{
+        index, footprint,
+        Rect{footprint.x + dx, footprint.y, footprint.width,
+             footprint.height}};
+    const int at = static_cast<int>(step);
+
+    placement.set_anchor(index, to);
+    fti.update(placement, region, &move, 1, backup);
+    check("proposed", at);
+    placement.set_anchor(index, from);
+    fti.restore(backup);
+    check("restored", at);
+    placement.set_anchor(index, to);
+    fti.update(placement, region, &move, 1, backup);
+  }
+  check("swept", static_cast<int>(steps.size()));
+}
+
+TEST(IncrementalCostTest, CoverageAcrossBitboardWordBoundaries) {
+  for (const int boundary : {64, 128}) {
+    for (const bool rotation : {true, false}) {
+      SCOPED_TRACE(testing::Message()
+                   << "boundary " << boundary << " rotation " << rotation);
+      run_word_boundary_sweep(boundary, FtiOptions{.allow_rotation = rotation});
+    }
+  }
 }
 
 TEST(IncrementalCostTest, EmptyPlacementProposalsAreNoOps) {
