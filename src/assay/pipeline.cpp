@@ -322,10 +322,7 @@ PipelineResult SynthesisPipeline::run_bound(const SequencingGraph& graph,
     const auto start = Clock::now();
     RecoveryOptions recovery = options_.recovery;
     recovery.sim = options_.simulation;
-    if (recovery.replace_context.canvas_width <= 0 &&
-        recovery.replace_context.canvas_height <= 0) {
-      recovery.replace_context = options_.placer_context;
-    }
+    recovery.replace_context = options_.placer_context;
     recovery.replace_context.seed = seed;
     const OnlineRecoveryEngine engine(recovery);
     OnlineRunResult online =

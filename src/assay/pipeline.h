@@ -186,9 +186,10 @@ struct PipelineOptions {
   /// PipelineResult::recovery and the stage observer's detail line.
   FaultInjectionPlan fault_plan;
   /// Knobs/budgets of the online recovery engine (used iff fault_plan is
-  /// non-empty). `recovery.sim` is overridden by `simulation`, and the
-  /// replace rung's context inherits `placer_context` (re-seeded from
-  /// `seed`) unless `recovery.replace_context` is customized.
+  /// non-empty). The pipeline overrides two of them: `recovery.sim` with
+  /// `simulation`, and `recovery.replace_context` with `placer_context`
+  /// re-seeded from `seed`, so the replace rung re-places under the
+  /// request's own canvas, weights and schedule.
   RecoveryOptions recovery;
 
   /// Evaluate the Fault Tolerance Index of the final placement over its

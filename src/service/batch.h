@@ -33,9 +33,10 @@
 // is then always overwritten by its entry in
 // derive_item_seeds(base.seed, n) — the master seed governs every item
 // seed (that is the batch seed-split contract; a per-item "seed" key is
-// accepted but has no effect). Note the wire options surface is
-// parse_pipeline_options' (server.h); base-option fields outside it are
-// forwarded to workers only if dmfb_batch's own flags cover them.
+// accepted but has no effect). The wire options are the wire entries of
+// service/option_table.h; base-option fields the table keeps off the
+// wire are forwarded to workers only if dmfb_batch's own flags cover
+// them.
 #pragma once
 
 #include <cstdint>

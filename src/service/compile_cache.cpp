@@ -5,115 +5,70 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
-#include <string_view>
 #include <utility>
 
+#include "service/option_table.h"
 #include "util/hash.h"
 
 namespace dmfb {
 namespace {
 
-void mix_string(HashStream& h, std::string_view s) { h.mix_bytes(s); }
+using option_table::Role;
 
-void mix_weights(HashStream& h, const CostWeights& w) {
-  h.mix(w.alpha).mix(w.beta).mix(w.lambda_overlap).mix(w.lambda_defect).mix(
-      w.gamma);
+template <Role Scope, class T>
+void mix_record(HashStream& h, const T& record, bool faults);
+
+template <Role Scope, class T>
+void mix_field(HashStream& h, const T& field, bool faults) {
+  if constexpr (option_table::Record<T>) {
+    mix_record<Scope>(h, field, faults);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    h.mix_bytes(field);
+  } else if constexpr (std::is_floating_point_v<T>) {
+    h.mix(field);
+  } else if constexpr (std::is_integral_v<T> || std::is_enum_v<T>) {
+    h.mix(static_cast<std::uint64_t>(field));  // bools as 0 and 1
+  } else if constexpr (std::is_same_v<T, std::vector<Point>>) {
+    h.mix(static_cast<std::uint64_t>(field.size()));
+    for (const Point& p : field) h.mix(p.x).mix(p.y);
+  } else if constexpr (std::is_same_v<T, FaultInjectionPlan>) {
+    h.mix(static_cast<std::uint64_t>(field.faults.size()));
+    for (const PlannedFault& fault : field.faults) {
+      h.mix(fault.cell.x).mix(fault.cell.y).mix(fault.time_s).mix(
+          static_cast<std::uint64_t>(fault.after_event));
+    }
+  } else if constexpr (requires { field.begin()->second; }) {  // a map
+    h.mix(static_cast<std::uint64_t>(field.size()));
+    for (const auto& [key, value] : field) {
+      mix_field<Scope>(h, key, faults);
+      mix_field<Scope>(h, value, faults);
+    }
+  } else {
+    static_assert(!sizeof(T), "no fingerprint for this field type");
+  }
 }
 
-void mix_annealing(HashStream& h, const AnnealingSchedule& s) {
-  h.mix(s.initial_temperature)
-      .mix(s.cooling_rate)
-      .mix(s.iterations_per_module)
-      .mix(s.min_temperature);
-}
-
-void mix_placer_context(HashStream& h, const PlacerContext& c) {
-  h.mix(c.canvas_width).mix(c.canvas_height);
-  h.mix(static_cast<std::uint64_t>(c.defects.size()));
-  for (const Point& p : c.defects) h.mix(p.x).mix(p.y);
-  // route_links / initial_placement are warm-start inputs, not identity.
-  mix_annealing(h, c.annealing);
-  h.mix(c.moves.single_move_probability)
-      .mix(c.moves.rotate_probability)
-      .mix(c.moves.use_controlling_window)
-      .mix(c.moves.min_window);
-  mix_weights(h, c.weights);
-  h.mix(c.fti_options.allow_rotation);
-  h.mix(c.two_stage_beta);
-  mix_annealing(h, c.ltsa);
-  h.mix(c.optimal.max_modules)
-      .mix(c.optimal.allow_rotation)
-      .mix(static_cast<std::int64_t>(c.optimal.max_nodes));
-  h.mix(static_cast<int>(c.kamer_policy));
-  h.mix(c.allow_rotation);
-}
-
-void mix_routing(HashStream& h, const RoutePlannerOptions& r) {
-  h.mix(r.step_horizon)
-      .mix(r.separation_cells)
-      .mix(r.negotiation_rounds)
-      .mix(r.present_congestion_weight)
-      .mix(r.history_congestion_weight)
-      .mix(r.max_restarts);
-  // r.seed is overridden by the pipeline's master seed; r.threads does not
-  // change the plan (thread-count invariance is pinned by
-  // test_parallel_routing).
+/// Mixes every field whose role, within `Scope`, is an identity role;
+/// fault identities only when the request plans faults. Key names are
+/// not hashed: the table's order is the key's layout.
+template <Role Scope, class T>
+void mix_record(HashStream& h, const T& record, bool faults) {
+  option_table::for_each_option(
+      std::type_identity<T>{}, [&]<class E, class... F>(const E&, F...) {
+        constexpr Role role = std::max(Scope, E::role);
+        if constexpr (role == Role::kIdentity) {
+          (mix_field<role>(h, F::of(record), faults), ...);
+        } else if constexpr (role == Role::kFaultIdentity) {
+          if (faults) (mix_field<role>(h, F::of(record), faults), ...);
+        }
+      });
 }
 
 }  // namespace
 
 std::uint64_t options_fingerprint(const PipelineOptions& options) {
-  HashStream h(/*seed=*/0x5EF1CE00000001ULL);  // versioned domain tag
-  h.mix(static_cast<int>(options.binding_policy));
-  // options.scheduler: AssayCase runs use the case's own scheduler
-  // options, which the canonical assay text covers; graph/binding runs
-  // use these. Mix them so both paths are safe.
-  h.mix(options.scheduler.constraints.max_concurrent_modules);
-  for (const auto& [kind, limit] :
-       options.scheduler.constraints.max_concurrent_by_kind) {
-    h.mix(static_cast<int>(kind)).mix(limit);
-  }
-  h.mix(options.scheduler.constraints.dispense_duration_s)
-      .mix(options.scheduler.constraints.max_concurrent_dispenses)
-      .mix(options.scheduler.insert_storage);
-  mix_string(h, options.scheduler.storage_spec.name);
-  h.mix(static_cast<int>(options.scheduler.storage_spec.kind))
-      .mix(options.scheduler.storage_spec.functional_width)
-      .mix(options.scheduler.storage_spec.functional_height)
-      .mix(options.scheduler.storage_spec.duration_s);
-
-  mix_string(h, options.placer);
-  mix_placer_context(h, options.placer_context);
-  h.mix(options.place);
-  h.mix(options.feedback_rounds);
-  h.mix(options.deadline_s);
-  h.mix(options.plan_droplet_routes);
-  mix_string(h, options.router);
-  mix_routing(h, options.routing);
-  h.mix(options.chip_width).mix(options.chip_height);
-  h.mix(options.simulate);
-  h.mix(options.simulation.droplet_speed_cells_per_s)
-      .mix(options.simulation.verify_routing)
-      .mix(options.simulation.record_events);
-  // Online fault recovery changes what the simulate stage produces, so
-  // the plan and every outcome-affecting recovery knob fork the key.
-  h.mix(static_cast<std::uint64_t>(options.fault_plan.faults.size()));
-  for (const PlannedFault& fault : options.fault_plan.faults) {
-    h.mix(fault.cell.x).mix(fault.cell.y).mix(fault.time_s).mix(
-        static_cast<std::uint64_t>(fault.after_event));
-  }
-  if (!options.fault_plan.faults.empty()) {
-    h.mix(static_cast<int>(options.recovery.policy))
-        .mix(options.recovery.max_cycles)
-        .mix(options.recovery.enable_reconfigure)
-        .mix(options.recovery.enable_reroute)
-        .mix(options.recovery.enable_replace);
-    mix_string(h, options.recovery.replace_placer);
-    // recovery.deadline_s is a host-wall budget (execution-only, like
-    // `threads`); recovery.sim is overridden by `simulation` above.
-  }
-  h.mix(options.evaluate_fault_tolerance);
-  h.mix(options.seed);
+  HashStream h(/*seed=*/0x5EF1CE00000002ULL);  // versioned domain tag
+  mix_record<Role::kIdentity>(h, options, !options.fault_plan.empty());
   return h.value();
 }
 

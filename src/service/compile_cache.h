@@ -27,10 +27,11 @@
 namespace dmfb {
 
 /// Stable fingerprint of every PipelineOptions field that affects compile
-/// output. Excluded by design: `observer` and `threads` (execution-only),
-/// plus the warm-start seams themselves (`initial_placement`,
-/// `warm_links`) — those carry cached state
-/// *into* a run and must not fork the key space of the cache feeding them.
+/// output: the identity fields of service/option_table.h, plus its
+/// recovery knobs when the request plans faults. Execution-only,
+/// warm-start and overridden fields stay out; the warm-start seams carry
+/// cached state *into* a run and must not fork the key space of the cache
+/// feeding them.
 std::uint64_t options_fingerprint(const PipelineOptions& options);
 
 /// Structure signature of a schedule: module count, each module's

@@ -10,68 +10,141 @@
 
 #include "io/assay_format.h"
 #include "io/json.h"
+#include "service/option_table.h"
 #include "util/parallel.h"
 #include "util/request_queue.h"
 
 namespace dmfb {
 namespace {
 
-/// Rejects non-integral and out-of-range numbers: the double -> int cast
-/// is undefined behaviour outside int's range.
-int as_int(const json::Value& value) {
+using option_table::Range;
+using option_table::Record;
+
+[[noreturn]] void reject(const char* key, const json::Value& value,
+                         const char* why) {
+  throw std::invalid_argument(std::string("option \"") + key + "\": " +
+                              value.dump() + ' ' + why);
+}
+
+/// A number held to its key's range and, for an int field, to whole
+/// numbers in int's range (the double -> int cast is UB outside it).
+template <class T>
+T read_number(const json::Value& value, const char* key, const Range& range) {
   const double number = value.as_number();
-  if (!(number >= std::numeric_limits<int>::min() &&
-        number <= std::numeric_limits<int>::max()) ||
-      number != std::trunc(number)) {
-    throw std::invalid_argument("expected an integer, got " +
-                                value.dump());
+  if (!range.admits(number)) reject(key, value, "is out of range");
+  if (std::is_integral_v<T> &&
+      !(number >= std::numeric_limits<int>::min() &&
+        number <= std::numeric_limits<int>::max() &&
+        number == std::trunc(number))) {
+    reject(key, value, "is not an integer");
   }
-  return static_cast<int>(number);
+  return static_cast<T>(number);
 }
 
-std::pair<int, int> as_dims(const json::Value& value, const char* what) {
-  const auto& pair = value.as_array();
-  if (pair.size() != 2) {
-    throw std::invalid_argument(std::string(what) + " must be [width,height]");
-  }
-  return {as_int(pair[0]), as_int(pair[1])};
+/// [width,height], [x,y] or [t,x,y]: one number per field.
+template <class... T>
+  requires(sizeof...(T) > 1)
+void read(const json::Value& value, const char* key, const Range& range,
+          T&... fields) {
+  const json::Value::Array& items = value.as_array();
+  if (items.size() != sizeof...(T)) reject(key, value, "has a wrong length");
+  std::size_t i = 0;
+  ((fields = read_number<T>(items[i++], key, range)), ...);
 }
 
-/// Most anneal work one wire request may ask for, as temperature steps
-/// times iterations per module. The paper's schedule (T0 = 1e4,
-/// alpha = 0.9, Na = 400, stop at 0.05) is 116 x 400 = 46,400.
-constexpr double kMaxAnnealWork = 4e6;
+template <class T>
+void parse_record(const json::Value& value, T& record,
+                  const std::string& what);
+template <class T>
+json::Value record_to_json(const T& record);
 
-void parse_annealing(const json::Value& value, AnnealingSchedule& schedule) {
-  for (const auto& [key, field] : value.as_object()) {
-    if (key == "T0") {
-      schedule.initial_temperature = field.as_number();
-    } else if (key == "alpha") {
-      schedule.cooling_rate = field.as_number();
-    } else if (key == "iterations_per_module") {
-      schedule.iterations_per_module = as_int(field);
-    } else if (key == "min_temperature") {
-      schedule.min_temperature = field.as_number();
-    } else {
-      throw std::invalid_argument("unknown annealing option \"" + key + "\"");
+template <class T>
+void read(const json::Value& value, const char* key, const Range& range,
+          T& field) {
+  if constexpr (Record<T>) {
+    parse_record(value, field, key + std::string(" option"));
+  } else if constexpr (std::is_same_v<T, bool>) {
+    field = value.as_bool();
+  } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+    field = value.as_u64();
+  } else if constexpr (std::is_arithmetic_v<T>) {
+    field = read_number<T>(value, key, range);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    field = value.as_string();
+  } else if constexpr (std::is_enum_v<T>) {
+    field = from_string<T>(value.as_string());
+  } else if constexpr (std::is_same_v<T, std::vector<Point>>) {
+    for (const json::Value& item : value.as_array()) {
+      Point& p = field.emplace_back();
+      read(item, key, range, p.x, p.y);
+    }
+  } else {
+    // [[t,x,y], ...]: a fault at cell (x,y) once the simulated clock
+    // reaches t (requires "simulate": true to have any effect).
+    for (const json::Value& item : value.as_array()) {
+      PlannedFault& f = field.faults.emplace_back();
+      read(item, key, range, f.time_s, f.cell.x, f.cell.y);
     }
   }
-  // Here as well as in anneal_from: a warm-started compile anneals with
-  // the service's own refinement schedule, which would mask a request
-  // schedule that never terminates.
-  check_schedule(schedule);
-  // A schedule that terminates can still take hours; bound its work.
-  const double steps =
-      schedule.initial_temperature > schedule.min_temperature
-          ? std::ceil(std::log(schedule.min_temperature /
-                               schedule.initial_temperature) /
-                      std::log(schedule.cooling_rate))
-          : 0.0;
-  if (steps * schedule.iterations_per_module > kMaxAnnealWork) {
-    throw std::invalid_argument(
-        "annealing schedule exceeds the per-request work limit "
-        "(temperature steps x iterations_per_module > 4e6)");
+}
+
+template <class... T>
+  requires(sizeof...(T) > 1)
+json::Value to_json(const T&... fields) {
+  return json::Value::Array{fields...};
+}
+
+template <class T>
+json::Value to_json(const T& field) {
+  if constexpr (Record<T>) {
+    return record_to_json(field);
+  } else if constexpr (std::is_enum_v<T>) {
+    return to_string(field);
+  } else if constexpr (std::is_same_v<T, std::vector<Point>>) {
+    json::Value::Array items;
+    for (const Point& p : field) items.push_back(to_json(p.x, p.y));
+    return items;
+  } else if constexpr (std::is_same_v<T, FaultInjectionPlan>) {
+    json::Value::Array items;
+    for (const PlannedFault& f : field.faults) {
+      items.push_back(to_json(f.time_s, f.cell.x, f.cell.y));
+    }
+    return items;
+  } else {
+    return field;  // bool, int, double, std::uint64_t or std::string
   }
+}
+
+/// Applies the members of `value` in document order; `what` names the
+/// record's keys in the unknown-key error.
+template <class T>
+void parse_record(const json::Value& value, T& record,
+                  const std::string& what) {
+  for (const auto& [key, member] : value.as_object()) {
+    bool known = false;
+    option_table::for_each_option(
+        std::type_identity<T>{}, [&]<class E, class... F>(E entry, F...) {
+          if constexpr (E::on_wire) {
+            if (!known && key == entry.key) {
+              known = true;
+              read(member, entry.key, entry.range, F::of(record)...);
+            }
+          }
+        });
+    if (!known) {
+      throw std::invalid_argument("unknown " + what + " \"" + key + "\"");
+    }
+  }
+}
+
+template <class T>
+json::Value record_to_json(const T& record) {
+  json::Value doc;
+  option_table::for_each_option(
+      std::type_identity<T>{}, [&]<class E, class... F>(E entry, F...) {
+        if constexpr (E::on_wire) doc.set(entry.key, to_json(F::of(record)...));
+      });
+  return doc;
 }
 
 json::Value stats_line(const CacheStats& stats) {
@@ -103,117 +176,12 @@ std::string recover_id(const std::string& line) {
 
 void parse_pipeline_options(const json::Value& value,
                             PipelineOptions& options) {
-  for (const auto& [key, field] : value.as_object()) {
-    if (key == "seed") {
-      options.seed = field.as_u64();
-    } else if (key == "placer") {
-      options.placer = field.as_string();
-    } else if (key == "router") {
-      options.router = field.as_string();
-    } else if (key == "canvas") {
-      const auto [w, h] = as_dims(field, "canvas");
-      options.placer_context.canvas_width = w;
-      options.placer_context.canvas_height = h;
-    } else if (key == "chip") {
-      const auto [w, h] = as_dims(field, "chip");
-      options.chip_width = w;
-      options.chip_height = h;
-    } else if (key == "defects") {
-      for (const auto& cell : field.as_array()) {
-        const auto [x, y] = as_dims(cell, "defect cell");
-        options.placer_context.defects.push_back(Point{x, y});
-      }
-    } else if (key == "gamma") {
-      options.placer_context.weights.gamma = field.as_number();
-    } else if (key == "beta") {
-      options.placer_context.weights.beta = field.as_number();
-    } else if (key == "annealing") {
-      parse_annealing(field, options.placer_context.annealing);
-    } else if (key == "feedback_rounds") {
-      options.feedback_rounds = as_int(field);
-    } else if (key == "deadline_s") {
-      options.deadline_s = field.as_number();
-    } else if (key == "plan_droplet_routes") {
-      options.plan_droplet_routes = field.as_bool();
-    } else if (key == "simulate") {
-      options.simulate = field.as_bool();
-    } else if (key == "fault_plan") {
-      // [[t,x,y], ...]: inject a fault at cell (x,y) once the simulated
-      // clock reaches t (requires "simulate": true to have any effect).
-      for (const auto& fault : field.as_array()) {
-        const auto& triple = fault.as_array();
-        if (triple.size() != 3) {
-          throw std::invalid_argument("fault_plan entries must be [t,x,y]");
-        }
-        options.fault_plan.faults.push_back(
-            PlannedFault{Point{as_int(triple[1]), as_int(triple[2])},
-                         triple[0].as_number(), -1});
-      }
-    } else if (key == "recovery_deadline_s") {
-      options.recovery.deadline_s = field.as_number();
-    } else if (key == "recovery_max_cycles") {
-      options.recovery.max_cycles = as_int(field);
-    } else if (key == "evaluate_fault_tolerance") {
-      options.evaluate_fault_tolerance = field.as_bool();
-    } else if (key == "binding_policy") {
-      options.binding_policy = from_string<BindingPolicy>(field.as_string());
-    } else {
-      throw std::invalid_argument("unknown option \"" + key + "\"");
-    }
-  }
+  parse_record(value, options, "option");
+  option_table::check_anneal_work(options);
 }
 
 json::Value pipeline_options_to_json(const PipelineOptions& options) {
-  json::Value doc;
-  doc.set("seed", json::Value(options.seed));
-  doc.set("placer", options.placer);
-  doc.set("router", options.router);
-  const auto dims = [](int w, int h) {
-    return json::Value(json::Value::Array{json::Value(w), json::Value(h)});
-  };
-  doc.set("canvas", dims(options.placer_context.canvas_width,
-                         options.placer_context.canvas_height));
-  doc.set("chip", dims(options.chip_width, options.chip_height));
-  {
-    json::Value::Array defects;
-    for (const Point& p : options.placer_context.defects) {
-      defects.push_back(dims(p.x, p.y));
-    }
-    doc.set("defects", json::Value(std::move(defects)));
-  }
-  doc.set("gamma", options.placer_context.weights.gamma);
-  doc.set("beta", options.placer_context.weights.beta);
-  {
-    const AnnealingSchedule& s = options.placer_context.annealing;
-    json::Value annealing;
-    annealing.set("T0", s.initial_temperature);
-    annealing.set("alpha", s.cooling_rate);
-    annealing.set("iterations_per_module",
-                  static_cast<double>(s.iterations_per_module));
-    annealing.set("min_temperature", s.min_temperature);
-    doc.set("annealing", std::move(annealing));
-  }
-  doc.set("feedback_rounds", static_cast<double>(options.feedback_rounds));
-  doc.set("deadline_s", options.deadline_s);
-  doc.set("plan_droplet_routes", options.plan_droplet_routes);
-  doc.set("simulate", options.simulate);
-  {
-    json::Value::Array faults;
-    for (const PlannedFault& fault : options.fault_plan.faults) {
-      json::Value::Array triple;
-      triple.push_back(json::Value(fault.time_s));
-      triple.push_back(json::Value(fault.cell.x));
-      triple.push_back(json::Value(fault.cell.y));
-      faults.push_back(json::Value(std::move(triple)));
-    }
-    doc.set("fault_plan", json::Value(std::move(faults)));
-  }
-  doc.set("recovery_deadline_s", options.recovery.deadline_s);
-  doc.set("recovery_max_cycles",
-          static_cast<double>(options.recovery.max_cycles));
-  doc.set("evaluate_fault_tolerance", options.evaluate_fault_tolerance);
-  doc.set("binding_policy", to_string(options.binding_policy));
-  return doc;
+  return record_to_json(options);
 }
 
 CompileServer::CompileServer(ServerOptions options)

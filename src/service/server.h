@@ -39,27 +39,27 @@
 
 namespace dmfb {
 
-/// Applies a wire "options" JSON object onto `options` (the request
-/// surface documented above: seed, placer, router, canvas, chip,
-/// defects, gamma, beta, annealing, feedback_rounds, deadline_s,
-/// plan_droplet_routes, simulate, fault_plan ([[t,x,y],...] mid-run
-/// injections — the response then carries a "recovery" telemetry
-/// block), recovery_deadline_s, recovery_max_cycles,
-/// evaluate_fault_tolerance, binding_policy). Unknown keys throw
-/// std::invalid_argument — a misspelled option that changed nothing
-/// would be the worst kind of service bug to chase from the client
-/// side. Shared by the compile server and the batch driver's worker
-/// handshake (service/batch.h), so both speak the same option dialect.
+/// Applies a wire "options" JSON object onto `options`. The keys, their
+/// fields and their valid ranges are the wire entries of
+/// service/option_table.h; a "fault_plan" ([[t,x,y],...] mid-run
+/// injections) makes the response carry a "recovery" telemetry block.
+/// Unknown keys and out-of-range values throw std::invalid_argument — a
+/// misspelled option that changed nothing would be the worst kind of
+/// service bug to chase from the client side — and so do options whose
+/// anneal work, (feedback_rounds + 1) x temperature steps x
+/// iterations_per_module, exceeds 4e6. Shared by the compile server and
+/// the batch driver's worker handshake (service/batch.h), so both speak
+/// the same option dialect.
 void parse_pipeline_options(const json::Value& value,
                             PipelineOptions& options);
 
-/// Dual of parse_pipeline_options: renders the full JSON option surface
-/// of `options` — every key the parser accepts, always emitted — so
+/// Dual of parse_pipeline_options: emits every wire key of
+/// service/option_table.h, in table order, so
 /// `parse_pipeline_options(pipeline_options_to_json(o), fresh)`
 /// reproduces every wire-reachable field of `o` exactly (pinned by
-/// tests/test_service.cpp). Fields outside the wire surface (scheduler
-/// details, move mix, LTSA schedule, ...) are neither emitted nor
-/// parsed; drivers that need them must set them on both sides.
+/// tests/test_service.cpp). Fields the table keeps off the wire are
+/// neither emitted nor parsed; drivers that need them must set them on
+/// both sides.
 json::Value pipeline_options_to_json(const PipelineOptions& options);
 
 struct ServerOptions {

@@ -154,7 +154,8 @@ struct RecoveryOptions {
   std::string replace_placer = "sa";
   /// Context for the replace rung. canvas dimensions of 0 inherit the
   /// failing placement's canvas; defects and the warm-start placement are
-  /// filled in by the engine.
+  /// filled in by the engine. SynthesisPipeline sets it from its own
+  /// placer_context.
   PlacerContext replace_context;
 };
 

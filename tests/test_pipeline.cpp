@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <mutex>
+
 #include "assay/assay_library.h"
 #include "assay/random_assay.h"
 #include "assay/scheduler.h"
@@ -317,6 +319,79 @@ TEST(PipelineTest, FaultPlanRunsOnlineRecoveryThroughSimulateStage) {
   EXPECT_NEAR(result.simulation.makespan_s,
               baseline.simulation.makespan_s + result.recovery.time_lost_s,
               1e-9);
+}
+
+/// Records the context of every replace-rung call, then places greedily.
+class ContextRecordingPlacer : public Placer {
+ public:
+  static constexpr const char* kName = "record-replace-context";
+
+  std::string name() const override { return kName; }
+  PlacementOutcome place(const Schedule& schedule,
+                         const PlacerContext& context) const override {
+    {
+      const std::lock_guard<std::mutex> lock(mutex());
+      seen().push_back(context);
+    }
+    return make_placer("greedy")->place(schedule, context);
+  }
+
+  static std::mutex& mutex() {
+    static std::mutex m;
+    return m;
+  }
+  static std::vector<PlacerContext>& seen() {
+    static std::vector<PlacerContext> contexts;
+    return contexts;
+  }
+};
+
+TEST(PipelineTest, ReplaceRungPlacesUnderTheRequestsPlacerContext) {
+  // The paper's "relocate the module when a cell is faulty" step must
+  // re-place on the request's canvas and with its weights and schedule,
+  // not under a default-constructed context.
+  auto& registry = PlacerRegistry::global();
+  if (!registry.contains(ContextRecordingPlacer::kName)) {
+    registry.register_placer(ContextRecordingPlacer::kName, [] {
+      return std::make_unique<ContextRecordingPlacer>();
+    });
+  }
+  PipelineOptions options = fast_options();
+  options.placer = "greedy";
+  options.simulate = true;
+  options.placer_context.canvas_width = 22;
+  options.placer_context.canvas_height = 21;
+  options.placer_context.weights.beta = 7.5;
+  options.placer_context.weights.lambda_defect = 90.0;
+  const PipelineResult baseline =
+      SynthesisPipeline(options).run(pcr_mixing_assay());
+  ASSERT_TRUE(baseline.simulation.success);
+
+  // A fault under module 0 mid-run, with only the replace rung enabled.
+  const Rect fp = baseline.placement.placement.module(0).footprint();
+  const ScheduledModule& sm = baseline.schedule.module(0);
+  options.fault_plan.faults.push_back(
+      PlannedFault{Point{fp.x + fp.width / 2, fp.y + fp.height / 2},
+                   0.5 * (sm.start_s + sm.end_s), -1});
+  options.recovery.enable_reconfigure = false;
+  options.recovery.enable_reroute = false;
+  options.recovery.replace_placer = ContextRecordingPlacer::kName;
+  ContextRecordingPlacer::seen().clear();
+  const PipelineResult result =
+      SynthesisPipeline(options).run(pcr_mixing_assay());
+  EXPECT_TRUE(result.recovery.recovered);
+
+  const std::vector<PlacerContext> seen = ContextRecordingPlacer::seen();
+  ASSERT_FALSE(seen.empty());
+  for (const PlacerContext& context : seen) {
+    EXPECT_EQ(context.canvas_width, 22);
+    EXPECT_EQ(context.canvas_height, 21);
+    EXPECT_EQ(context.weights.beta, 7.5);
+    EXPECT_EQ(context.weights.lambda_defect, 90.0);
+    EXPECT_EQ(context.annealing.iterations_per_module, 60);
+    EXPECT_EQ(context.seed, result.seed);
+    EXPECT_FALSE(context.defects.empty());  // the engine adds the fault
+  }
 }
 
 }  // namespace

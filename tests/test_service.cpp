@@ -8,19 +8,28 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <iterator>
+#include <map>
+#include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <typeindex>
+#include <utility>
 #include <vector>
 
 #include "assay/assay_library.h"
 #include "assay/scheduler.h"
 #include "io/assay_format.h"
 #include "io/json.h"
+#include "service/option_table.h"
 
 namespace dmfb {
 namespace {
@@ -119,6 +128,30 @@ TEST(CompileCacheTest, OptionsFingerprintIgnoresExecutionOnlyFields) {
   changed.observer = [](PipelineStage, double, const std::string&) {};
   changed.warm_links.push_back(RouteLink{});
   EXPECT_EQ(options_fingerprint(changed), fp);
+}
+
+TEST(CompileCacheTest, RecoveryRelocationOptionsForkTheKeyWithAFaultPlan) {
+  // recovery.fti steers the reconfigure rung's relocations, so with a
+  // plan it changes the result and must fork the key.
+  PipelineOptions with_plan = fast_options();
+  with_plan.fault_plan.faults.push_back(PlannedFault{Point{3, 4}, 12.0, -1});
+  PipelineOptions no_rotation = with_plan;
+  no_rotation.recovery.fti.allow_rotation = false;
+  EXPECT_NE(options_fingerprint(no_rotation), options_fingerprint(with_plan));
+
+  // Without a plan the recovery engine never runs.
+  PipelineOptions plain = fast_options();
+  PipelineOptions plain_no_rotation = plain;
+  plain_no_rotation.recovery.fti.allow_rotation = false;
+  EXPECT_EQ(options_fingerprint(plain_no_rotation),
+            options_fingerprint(plain));
+
+  // The pipeline derives the replace rung's context from placer_context,
+  // so the field itself cannot change a result.
+  PipelineOptions custom_context = with_plan;
+  custom_context.recovery.replace_context.canvas_width = 40;
+  EXPECT_EQ(options_fingerprint(custom_context),
+            options_fingerprint(with_plan));
 }
 
 TEST(CompileCacheTest, ScheduleSignatureIgnoresLabels) {
@@ -512,6 +545,76 @@ TEST(ServerTest, UnterminatingOrOutOfRangeOptionsAnswerNotOk) {
   }
 }
 
+/// Parses one wire "options" object onto defaults.
+PipelineOptions parse_options(const std::string& text) {
+  PipelineOptions options;
+  parse_pipeline_options(json::Value::parse(text), options);
+  return options;
+}
+
+/// Expects parse_options(text) to throw std::invalid_argument whose
+/// message contains every one of `needles`.
+void expect_rejected(const std::string& text,
+                     std::initializer_list<const char*> needles) {
+  try {
+    parse_options(text);
+    ADD_FAILURE() << "accepted " << text;
+  } catch (const std::invalid_argument& error) {
+    for (const char* needle : needles) {
+      EXPECT_NE(std::string(error.what()).find(needle), std::string::npos)
+          << text << " -> " << error.what();
+    }
+  }
+}
+
+TEST(ServerTest, FeedbackRoundsCountTowardTheAnnealWorkLimit) {
+  // With gamma 0 the closed loop never reaches a fixed point, so every
+  // round re-anneals: two billion rounds of the paper's schedule would
+  // run for years.
+  expect_rejected("{\"feedback_rounds\":2000000000}",
+                  {"feedback_rounds", "work limit"});
+  expect_rejected("{\"feedback_rounds\":200}", {"feedback_rounds"});
+  expect_rejected("{\"feedback_rounds\":-1}", {"\"feedback_rounds\""});
+  EXPECT_EQ(parse_options("{\"feedback_rounds\":2}").feedback_rounds, 2);
+  EXPECT_EQ(parse_options("{\"feedback_rounds\":3}").feedback_rounds, 3);
+  // The rule reads the parsed whole, in any key order: a cheaper schedule
+  // buys the rounds back (201 x 116 steps x 40 < 4e6).
+  EXPECT_EQ(parse_options("{\"feedback_rounds\":200,\"annealing\":{"
+                          "\"iterations_per_module\":40}}")
+                .feedback_rounds,
+            200);
+}
+
+TEST(ServerTest, CanvasChipAndDefectsAreBoundedAtParseTime) {
+  // A 2000 x 2000 canvas used to reach the compile and come back as
+  // std::bad_alloc; every side and cell now stops at the parser.
+  expect_rejected("{\"canvas\":[2000,2000]}", {"\"canvas\"", "range"});
+  expect_rejected("{\"canvas\":[24,129]}", {"\"canvas\""});
+  expect_rejected("{\"canvas\":[0,24]}", {"\"canvas\""});
+  expect_rejected("{\"canvas\":[24]}", {"\"canvas\""});
+  expect_rejected("{\"chip\":[2000,16]}", {"\"chip\""});
+  expect_rejected("{\"chip\":[-1,16]}", {"\"chip\""});
+  expect_rejected("{\"defects\":[[3,4],[128,0]]}", {"\"defects\""});
+  expect_rejected("{\"defects\":[[-1,0]]}", {"\"defects\""});
+
+  const PipelineOptions largest = parse_options(
+      "{\"canvas\":[128,128],\"chip\":[128,0],\"defects\":[[127,127]]}");
+  EXPECT_EQ(largest.placer_context.canvas_width, option_table::kMaxSide);
+  EXPECT_EQ(largest.chip_width, option_table::kMaxSide);
+  EXPECT_EQ(largest.chip_height, 0);
+  EXPECT_EQ(largest.placer_context.defects.back(), (Point{127, 127}));
+
+  CompileServer server;
+  const std::vector<std::string> output =
+      serve_all(server, {request_line("huge", "{\"canvas\":[2000,2000]}")});
+  ASSERT_EQ(output.size(), 1u);
+  const json::Value doc = json::Value::parse(output[0]);
+  EXPECT_FALSE(doc.find("ok")->as_bool());
+  EXPECT_NE(doc.find("error")->as_string().find("\"canvas\""),
+            std::string::npos)
+      << output[0];
+}
+
 TEST(JsonTest, NestingDeeperThanTheBoundThrowsInsteadOfOverflowing) {
   // One recursion level per '[': unbounded, 200k of them overflowed the
   // stack of the reading process.
@@ -808,6 +911,228 @@ TEST(CompileCachePersistTest, CorruptOrMissingFilesLoadAsCold) {
   std::remove(garbage.c_str());
   std::remove(torn.c_str());
   std::remove(truncated.c_str());
+}
+
+// --- the option table ------------------------------------------------
+
+namespace ot = option_table;
+
+/// Counts an aggregate's members: the largest N for which T{x1..xN}
+/// compiles, where each x converts to any member type.
+struct AnyMember {
+  template <class T>
+  operator T() const;
+};
+template <class T, std::size_t... I>
+constexpr bool brace_initializable(std::index_sequence<I...>) {
+  return requires { T{(void(I), AnyMember{})...}; };
+}
+template <class T, std::size_t N = 0>
+constexpr std::size_t member_count() {
+  if constexpr (brace_initializable<T>(std::make_index_sequence<N + 1>{})) {
+    return member_count<T, N + 1>();
+  } else {
+    return N;
+  }
+}
+
+/// One field of PipelineOptions as the table reaches it: the table's
+/// path to its record, then the record's own field.
+template <class Outer, class Inner>
+struct Chain {
+  template <class O>
+  static auto& of(O& options) {
+    return Inner::of(Outer::of(options));
+  }
+};
+struct Whole {
+  template <class O>
+  static O& of(O& options) {
+    return options;
+  }
+};
+
+struct Leaf {
+  ot::Role role;
+  bool on_wire;
+  std::string name;  ///< wire key, or the mangled path off the wire
+};
+
+template <ot::Role Scope, bool Wire, class Path, class T, class Visit>
+void for_each_leaf(Visit& visit);
+
+/// One field G of record T, reached from PipelineOptions through Path.
+template <ot::Role Role, bool Wire, class Path, class T, class G, class Visit>
+void visit_leaf(Visit& visit, const char* key) {
+  using Type = std::remove_cvref_t<decltype(G::of(std::declval<T&>()))>;
+  if constexpr (ot::Record<Type>) {
+    for_each_leaf<Role, Wire, Chain<Path, G>, Type>(visit);
+  } else {
+    visit(Leaf{Role, Wire, Wire ? key : typeid(G).name()}, Chain<Path, G>{});
+  }
+}
+
+/// Calls visit(leaf, path) for every field the table reaches, walking
+/// records through their own tables (their leaves take the record's
+/// role and wire presence along).
+template <ot::Role Scope, bool Wire, class Path, class T, class Visit>
+void for_each_leaf(Visit& visit) {
+  ot::for_each_option(
+      std::type_identity<T>{}, [&]<class E, class... F>(const E& entry, F...) {
+        constexpr ot::Role role = std::max(Scope, E::role);
+        constexpr bool wire = Wire && E::on_wire;
+        (visit_leaf<role, wire, Path, T, F>(visit, entry.key), ...);
+      });
+}
+
+template <class Visit>
+void for_each_leaf(Visit visit) {
+  for_each_leaf<ot::Role::kIdentity, true, Whole, PipelineOptions>(visit);
+}
+
+/// Changes `field` to another valid value of its type.
+template <class T>
+void change(T& field) {
+  if constexpr (std::is_same_v<T, bool>) {
+    field = !field;
+  } else if constexpr (std::is_enum_v<T>) {
+    // Cycles within the first three values: every BindingPolicy, the
+    // only enum on the wire, stays valid.
+    field = static_cast<T>((static_cast<int>(field) + 1) % 3);
+  } else if constexpr (std::is_integral_v<T>) {
+    field = field > 0 ? field - 1 : field + 1;  // INT_MAX defaults occur
+  } else if constexpr (std::is_floating_point_v<T>) {
+    field = field * 0.5 + 0.25;  // keeps (0,1) values inside (0,1)
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    field += "-changed";
+  } else if constexpr (std::is_same_v<T, std::vector<Point>>) {
+    field.push_back(Point{1, 2});
+  } else if constexpr (std::is_same_v<T, std::map<ModuleKind, int>>) {
+    field.emplace(ModuleKind::kMixer, 1);
+  } else if constexpr (std::is_same_v<T, FaultInjectionPlan>) {
+    field.faults.push_back(PlannedFault{Point{1, 2}, 3.5, -1});
+  } else if constexpr (std::is_same_v<T, std::vector<RouteLink>>) {
+    field.push_back(RouteLink{0, 1, 3});
+  } else if constexpr (std::is_same_v<T, std::shared_ptr<const Placement>>) {
+    field = std::make_shared<const Placement>();
+  } else if constexpr (std::is_same_v<T, StageObserver>) {
+    field = [](PipelineStage, double, const std::string&) {};
+  } else if constexpr (std::is_same_v<T, PlacerContext>) {
+    field.weights.beta += 1.0;
+  } else if constexpr (std::is_same_v<T, SimOptions>) {
+    field.verify_routing = !field.verify_routing;
+  } else {
+    static_assert(!sizeof(T), "teach change() this field type");
+  }
+}
+
+TEST(OptionTableTest, EveryFieldOfEveryOptionStructHasExactlyOneEntry) {
+  // Each member pointer on a table path names one member of its struct;
+  // the distinct members per struct must be all of them. A field added
+  // to PipelineOptions or to any struct the table walks into, and left
+  // out of the table, fails here instead of silently missing the key.
+  std::map<std::type_index, std::set<std::size_t>> members;
+  const auto note = [&]<class C, class U>(U C::*member) {
+    static const C probe{};
+    members[typeid(C)].insert(static_cast<std::size_t>(
+        reinterpret_cast<const char*>(&(probe.*member)) -
+        reinterpret_cast<const char*>(&probe)));
+  };
+  std::vector<std::pair<const char*, std::size_t>> extents;
+  static PipelineOptions options;
+  for_each_leaf([&]<class G>(const Leaf&, G) {
+    const auto& field = G::of(options);
+    extents.emplace_back(reinterpret_cast<const char*>(&field),
+                         sizeof(field));
+  });
+  const auto hops = [&]<auto... M>(ot::Field<M...>) { (note(M), ...); };
+  ot::for_each_option(std::type_identity<PipelineOptions>{},
+                      [&]<class E, class... F>(const E&, F...) {
+                        (hops(F{}), ...);
+                      });
+  ot::for_each_option(std::type_identity<AnnealingSchedule>{},
+                      [&]<class E, class... F>(const E&, F...) {
+                        (hops(F{}), ...);
+                      });
+
+  const std::map<std::type_index, std::pair<const char*, std::size_t>>
+      expected = {
+          {typeid(PipelineOptions),
+           {"PipelineOptions", member_count<PipelineOptions>()}},
+          {typeid(SchedulerOptions),
+           {"SchedulerOptions", member_count<SchedulerOptions>()}},
+          {typeid(ResourceConstraints),
+           {"ResourceConstraints", member_count<ResourceConstraints>()}},
+          {typeid(ModuleSpec), {"ModuleSpec", member_count<ModuleSpec>()}},
+          {typeid(PlacerContext),
+           {"PlacerContext", member_count<PlacerContext>()}},
+          {typeid(AnnealingSchedule),
+           {"AnnealingSchedule", member_count<AnnealingSchedule>()}},
+          {typeid(MoveOptions), {"MoveOptions", member_count<MoveOptions>()}},
+          {typeid(CostWeights), {"CostWeights", member_count<CostWeights>()}},
+          {typeid(FtiOptions), {"FtiOptions", member_count<FtiOptions>()}},
+          {typeid(OptimalPlacerOptions),
+           {"OptimalPlacerOptions", member_count<OptimalPlacerOptions>()}},
+          {typeid(RoutePlannerOptions),
+           {"RoutePlannerOptions", member_count<RoutePlannerOptions>()}},
+          {typeid(SimOptions), {"SimOptions", member_count<SimOptions>()}},
+          {typeid(RecoveryOptions),
+           {"RecoveryOptions", member_count<RecoveryOptions>()}},
+      };
+  EXPECT_EQ(members.size(), expected.size())
+      << "the table walks into a struct this test does not list";
+  for (const auto& [type, want] : expected) {
+    EXPECT_EQ(members[type].size(), want.second) << want.first;
+  }
+  // The fault_plan codecs name every member of these two.
+  EXPECT_EQ(member_count<FaultInjectionPlan>(), 1u);
+  EXPECT_EQ(member_count<PlannedFault>(), 3u);
+
+  // No field is reached twice, whole or in part.
+  std::sort(extents.begin(), extents.end());
+  for (std::size_t i = 1; i < extents.size(); ++i) {
+    EXPECT_LE(extents[i - 1].first + extents[i - 1].second, extents[i].first)
+        << "table entries " << i - 1 << " and " << i << " overlap";
+  }
+}
+
+TEST(OptionTableTest, EveryWireEntryRoundTripsThroughEmitAndParse) {
+  const std::string defaults = pipeline_options_to_json({}).dump();
+  int wire_fields = 0;
+  for_each_leaf([&]<class G>(const Leaf& leaf, G) {
+    if (!leaf.on_wire) return;
+    ++wire_fields;
+    PipelineOptions changed;
+    change(G::of(changed));
+    const std::string line = pipeline_options_to_json(changed).dump();
+    EXPECT_NE(line, defaults) << leaf.name << " is not emitted";
+    PipelineOptions parsed;
+    parse_pipeline_options(json::Value::parse(line), parsed);
+    EXPECT_EQ(pipeline_options_to_json(parsed).dump(), line) << leaf.name;
+    EXPECT_EQ(options_fingerprint(parsed), options_fingerprint(changed))
+        << leaf.name;
+  });
+  // canvas and chip carry two fields each, annealing four.
+  EXPECT_EQ(wire_fields, 23);
+}
+
+TEST(OptionTableTest, RolesSayWhetherAFieldForksTheCacheKey) {
+  PipelineOptions faulty;
+  faulty.fault_plan.faults.push_back(PlannedFault{Point{3, 4}, 12.0, -1});
+  for (const PipelineOptions& base : {PipelineOptions{}, faulty}) {
+    const bool faults = !base.fault_plan.empty();
+    const std::uint64_t fp = options_fingerprint(base);
+    for_each_leaf([&]<class G>(const Leaf& leaf, G) {
+      PipelineOptions changed = base;
+      change(G::of(changed));
+      const bool forks =
+          leaf.role == ot::Role::kIdentity ||
+          (leaf.role == ot::Role::kFaultIdentity && faults);
+      EXPECT_EQ(options_fingerprint(changed) != fp, forks)
+          << leaf.name << " (role " << static_cast<int>(leaf.role)
+          << (faults ? ", with a fault plan)" : ", no fault plan)");
+    });
+  }
 }
 
 }  // namespace
