@@ -3,16 +3,19 @@
 // 7x9 placement took 1.7 s of CPU on a 2004 PC; the staircase algorithm
 // is what makes it fast). Compares:
 //   * staircase enumeration (the paper's algorithm),
-//   * brute-force enumeration (reference),
-//   * prefix-sum existence check (what the FTI evaluator uses),
-//   * full FTI evaluation of the PCR placement.
+//   * brute-force enumeration (the test oracle),
+//   * FTI of the PCR placement by the library's bitboard kernel
+//     (evaluate_fti),
+//   * the same FTI by the MER-per-cell definition (the test oracle).
+// The references come from tests/oracles/reference_fti.h, so this bench
+// links dmfb_oracles.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
 #include "core/fti.h"
 #include "core/greedy_placer.h"
 #include "core/mer.h"
-#include "util/prefix_sum.h"
+#include "oracles/reference_fti.h"
 #include "util/rng.h"
 
 namespace {
@@ -41,19 +44,10 @@ BENCHMARK(BM_MerStaircase)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 void BM_MerBruteForce(benchmark::State& state) {
   const auto grid = random_grid(static_cast<int>(state.range(0)), 0.3, 7);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(maximal_empty_rectangles_brute(grid));
+    benchmark::DoNotOptimize(oracle::maximal_empty_rectangles_brute(grid));
   }
 }
 BENCHMARK(BM_MerBruteForce)->Arg(8)->Arg(16)->Arg(32);
-
-void BM_PrefixSumExistence(benchmark::State& state) {
-  const auto grid = random_grid(static_cast<int>(state.range(0)), 0.3, 7);
-  for (auto _ : state) {
-    const PrefixSum2D sums(grid);
-    benchmark::DoNotOptimize(sums.fits_empty(4, 4));
-  }
-}
-BENCHMARK(BM_PrefixSumExistence)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 
 void BM_FtiEvaluationPcr(benchmark::State& state) {
   const Placement placement =
@@ -75,8 +69,8 @@ void BM_FtiReferencePcr(benchmark::State& state) {
     long long covered = 0;
     for (int y = region.y; y < region.top(); ++y) {
       for (int x = region.x; x < region.right(); ++x) {
-        covered +=
-            is_cell_covered_reference(placement, Point{x, y}, {}, region);
+        covered += oracle::is_cell_covered_reference(placement, Point{x, y},
+                                                     {}, region);
       }
     }
     benchmark::DoNotOptimize(covered);

@@ -2,81 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
-#include <limits>
 #include <utility>
 
-#include "core/mer.h"
-#include "util/prefix_sum.h"
-
 namespace dmfb {
-namespace {
-
-/// Binary occupancy of `region` by modules that time-overlap module
-/// `excluded` (excluding itself): exactly the cells unavailable to the
-/// module were it relocated.
-Matrix<std::uint8_t> occupancy_excluding(const Placement& placement,
-                                         int excluded, const Rect& region) {
-  Matrix<std::uint8_t> grid(region.width, region.height, 0);
-  const PlacedModule& target = placement.module(excluded);
-  for (int i = 0; i < placement.module_count(); ++i) {
-    if (i == excluded) continue;
-    const PlacedModule& other = placement.module(i);
-    if (!target.time_overlaps(other)) continue;
-    Rect fp = other.footprint();
-    fp.x -= region.x;
-    fp.y -= region.y;
-    grid.fill_rect(fp, 1);
-  }
-  return grid;
-}
-
-}  // namespace
-
-long long OrientationQuery::positions_containing(Point cell) const {
-  const int x1 = std::max(0, cell.x - w + 1);
-  const int y1 = std::max(0, cell.y - h + 1);
-  const int x2 = std::min(cell.x, position_sums.width() - 1);
-  const int y2 = std::min(cell.y, position_sums.height() - 1);
-  if (x2 < x1 || y2 < y1) return 0;
-  return position_sums.occupied_in(Rect{x1, y1, x2 - x1 + 1, y2 - y1 + 1});
-}
-
-bool OrientationQuery::relocatable_avoiding(Point cell) const {
-  return total_positions - positions_containing(cell) > 0;
-}
-
-std::vector<OrientationQuery> build_relocation_queries(
-    const Placement& placement, int index, const Rect& region,
-    const FtiOptions& options) {
-  const PlacedModule& m = placement.module(index);
-  const PrefixSum2D occupied_sums(
-      occupancy_excluding(placement, index, region));
-  const int grid_w = occupied_sums.width();
-  const int grid_h = occupied_sums.height();
-
-  // The valid-anchor grid — cell (x, y) is valid iff rect (x, y, w, h) is
-  // empty and inside the grid — is derived fused into its prefix-sum
-  // pass, never materialized.
-  std::vector<OrientationQuery> queries;
-  const auto add = [&](int qw, int qh) {
-    OrientationQuery q;
-    q.w = qw;
-    q.h = qh;
-    q.position_sums.rebuild_from(grid_w, grid_h, [&](int x, int y) {
-      return x + qw <= grid_w && y + qh <= grid_h &&
-             occupied_sums.is_rect_empty(Rect{x, y, qw, qh});
-    });
-    q.total_positions =
-        q.position_sums.occupied_in(Rect{0, 0, grid_w, grid_h});
-    queries.push_back(std::move(q));
-  };
-  const int w = m.spec.footprint_width();
-  const int h = m.spec.footprint_height();
-  add(w, h);
-  if (options.allow_rotation && w != h) add(h, w);
-  return queries;
-}
 
 FtiResult evaluate_fti(const Placement& placement, const FtiOptions& options,
                        std::optional<Rect> region_opt) {
@@ -87,38 +15,18 @@ FtiResult evaluate_fti(const Placement& placement, const FtiOptions& options,
   result.covered = Matrix<std::uint8_t>(region.width, region.height, 1);
   if (region.empty()) return result;
 
-  for (int index = 0; index < placement.module_count(); ++index) {
-    const Rect fp_abs = placement.module(index).footprint();
-    const Rect fp = fp_abs.intersection(region);
-    if (fp.empty()) continue;
-
-    const auto queries =
-        build_relocation_queries(placement, index, region, options);
-    for (int y = fp.y; y < fp.top(); ++y) {
-      for (int x = fp.x; x < fp.right(); ++x) {
-        const Point cell{x - region.x, y - region.y};
-        if (result.covered.at(cell) == 0) continue;  // already uncovered
-        bool relocatable = false;
-        for (const auto& q : queries) {
-          if (q.relocatable_avoiding(cell)) {
-            relocatable = true;
-            break;
-          }
-        }
-        if (!relocatable) result.covered.at(cell) = 0;
+  FtiIncrementalEvaluator evaluator(options);
+  FtiIncrementalEvaluator::Backup backup;
+  evaluator.update(placement, region, nullptr, 0, backup);
+  for (int y = 0; y < region.height; ++y) {
+    for (int x = 0; x < region.width; ++x) {
+      if (!evaluator.is_cell_covered(Point{region.x + x, region.y + y})) {
+        result.covered.at(x, y) = 0;
       }
     }
   }
-
-  long long covered = 0;
-  for (const auto v : result.covered) covered += v;
-  result.covered_cells = covered;
+  result.covered_cells = evaluator.covered_cells();
   return result;
-}
-
-long long covered_cell_count(const Placement& placement,
-                             const FtiOptions& options, const Rect& region) {
-  return evaluate_fti(placement, options, region).covered_cells;
 }
 
 // --- incremental evaluator --------------------------------------------
@@ -128,8 +36,8 @@ namespace {
 /// Anchor clamp rectangle for a w-by-h footprint over `region`, in
 /// absolute coordinates: the anchors whose footprint lies entirely
 /// inside the region (empty when the region cannot hold the footprint)
-/// — the exact clamp evaluate_fti's region-built queries encode
-/// structurally.
+/// — the clamp the summed-area-table oracle encodes structurally by
+/// building its tables over the region alone.
 Rect anchor_clamp(const Rect& region, int w, int h) {
   return Rect{region.x, region.y, region.width - w + 1,
               region.height - h + 1};
@@ -279,10 +187,9 @@ int subtract_rect(const Rect& a, const Rect& b, Rect out[4]) {
 
 void FtiIncrementalEvaluator::build_module(const Placement& placement,
                                            int index) {
-  // The occupancy counts are built exactly like evaluate_fti's region
-  // grid — every temporal neighbour's footprint, same clipping — just
-  // over the shared, region-covering domain. Region bounds are applied
-  // by the clamped count/extreme queries.
+  // The occupancy counts hold every temporal neighbour's footprint,
+  // clipped to the shared, region-covering domain. Region bounds are
+  // applied by the clamped count/extreme queries.
   ModuleGrids& grids = queries_[static_cast<std::size_t>(index)];
   const int grid_w = domain_.width;
   const int grid_h = domain_.height;
@@ -678,35 +585,6 @@ bool FtiIncrementalEvaluator::is_cell_covered(Point cell) const {
   if (!region_.contains(cell)) return false;
   if (!grid_bounds_.contains(Rect{cell.x, cell.y, 1, 1})) return true;
   return grid_.at(cell.x - grid_bounds_.x, cell.y - grid_bounds_.y) == 0;
-}
-
-bool is_cell_covered_reference(const Placement& placement, Point cell,
-                               const FtiOptions& options, const Rect& region) {
-  if (!region.contains(cell)) return false;
-  for (int index = 0; index < placement.module_count(); ++index) {
-    const PlacedModule& m = placement.module(index);
-    if (!m.footprint().contains(cell)) continue;
-
-    // Encode the configuration per §5.3: cells of concurrently operational
-    // modules are 1, the faulty cell is 1, the failed module's own cells
-    // are freed (it is "temporarily removed from the placement").
-    Matrix<std::uint8_t> occupied =
-        occupancy_excluding(placement, index, region);
-    occupied.at(cell.x - region.x, cell.y - region.y) = 1;
-
-    const int w = m.spec.footprint_width();
-    const int h = m.spec.footprint_height();
-    bool relocatable = false;
-    for (const Rect& mer : maximal_empty_rectangles(occupied)) {
-      if ((mer.width >= w && mer.height >= h) ||
-          (options.allow_rotation && mer.width >= h && mer.height >= w)) {
-        relocatable = true;
-        break;
-      }
-    }
-    if (!relocatable) return false;
-  }
-  return true;
 }
 
 }  // namespace dmfb

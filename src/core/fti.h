@@ -11,13 +11,17 @@
 //
 // FTI = 1 means any single fault is survivable; FTI = 0 means none is.
 //
-// Implementation note: the paper's fast algorithm enumerates maximal empty
-// rectangles with the staircase structure; an equivalent but
-// constant-factor-faster existence test is used here for the evaluator
-// (valid-position counting over a summed-area table, O(area) per module
-// and O(1) per cell). Property tests pin this against the MER-based
-// definition (see mer.h), and the reconfiguration engine (reconfig.h) uses
-// the staircase MERs directly since it needs actual target locations.
+// Implementation note: the library has one FTI kernel, the bitboard
+// `FtiIncrementalEvaluator` below. The annealer keeps one alive and
+// patches it per proposal; `evaluate_fti` builds one from scratch. It
+// never enumerates maximal empty rectangles: a module's relocation
+// anchors are read off an occupancy bitboard by shift-OR dilation, and
+// the cells it blocks are the intersection of those anchors'
+// footprints. Two independent references live outside the library as
+// test oracles (tests/oracles/reference_fti.h): the summed-area-table
+// evaluator the kernel replaced and the MER-based definition. The
+// reconfiguration engine (reconfig.h) uses the staircase MERs (mer.h)
+// directly, since it needs actual target locations.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +32,6 @@
 #include "core/placement.h"
 #include "util/geometry.h"
 #include "util/matrix.h"
-#include "util/prefix_sum.h"
 
 namespace dmfb {
 
@@ -56,52 +59,10 @@ struct FtiResult {
 /// the placement's bounding box — the m x n array a designer would
 /// fabricate for it). Cells of `region` outside every module are covered;
 /// module cells are covered iff relocation avoiding them succeeds for every
-/// module using them.
+/// module using them. One full build of `FtiIncrementalEvaluator`.
 FtiResult evaluate_fti(const Placement& placement,
                        const FtiOptions& options = {},
                        std::optional<Rect> region = std::nullopt);
-
-/// Count-only fast path (identical result, no mask allocation); used inside
-/// the low-temperature annealing loop.
-long long covered_cell_count(const Placement& placement,
-                             const FtiOptions& options,
-                             const Rect& region);
-
-/// Definition-faithful reference: decides coverage of one cell by removing
-/// each module using it and searching the maximal-empty-rectangle list for
-/// a fitting relocation target. Quadratically slower; used by tests and the
-/// ablation bench to validate the fast evaluator.
-bool is_cell_covered_reference(const Placement& placement, Point cell,
-                               const FtiOptions& options, const Rect& region);
-
-// --- incremental evaluation (delta-cost annealing) --------------------
-
-/// Per-orientation relocation query data for one module: a summed-area
-/// table over the valid-anchor grid, answering "can this module relocate
-/// avoiding a fault at `cell`?" in O(1). Built once per (module, region,
-/// neighbour-footprint) configuration; the incremental evaluator below
-/// caches these so a move re-derives only the queries it invalidated.
-struct OrientationQuery {
-  int w = 0;
-  int h = 0;
-  long long total_positions = 0;
-  PrefixSum2D position_sums;
-
-  /// Number of valid anchors whose footprint would contain `cell`
-  /// (region-relative coordinates).
-  long long positions_containing(Point cell) const;
-
-  /// Relocation avoiding a fault at `cell` succeeds in this orientation iff
-  /// some valid anchor's footprint does not contain the cell.
-  bool relocatable_avoiding(Point cell) const;
-};
-
-/// Builds the queries (one or two orientations) for module `index` of
-/// `placement` over `region` — the per-module unit of work `evaluate_fti`
-/// performs for every module on every call.
-std::vector<OrientationQuery> build_relocation_queries(
-    const Placement& placement, int index, const Rect& region,
-    const FtiOptions& options);
 
 /// Caches per-module relocation state — and the per-cell coverage state
 /// derived from it — across annealing proposals.
@@ -122,7 +83,8 @@ std::vector<OrientationQuery> build_relocation_queries(
 /// shift-OR, and read the free anchors' count and extremes off the
 /// complement with popcount and bit scans. Region bounds are applied by
 /// that clamp, which test_fti/test_incremental_cost pin to be
-/// cell-for-cell identical to `evaluate_fti` over the region.
+/// cell-for-cell identical to the summed-area-table oracle over the
+/// region.
 ///
 /// Coverage itself is maintained incrementally too: the cells a module
 /// *blocks* (cells of its footprint no relocation can avoid) form the
@@ -221,17 +183,17 @@ class FtiIncrementalEvaluator {
   /// reuse).
   void restore(Backup& backup);
 
-  /// Covered-cell count over the cached region — identical to
-  /// `covered_cell_count(placement, options, region())` whenever the
-  /// cache is in sync with the placement (pinned by
-  /// test_incremental_cost), read off the maintained tallies in O(1).
+  /// Covered-cell count over the cached region, read off the maintained
+  /// tallies in O(1). Whenever the cache is in sync with the placement
+  /// it equals the oracles' count over `region()` (pinned by
+  /// test_incremental_cost).
   long long covered_cells() const {
     return region_.empty() ? 0 : region_.area() - blocked_;
   }
 
   /// Per-cell coverage state (absolute coordinates) — what the audit
-  /// tests pin against `is_cell_covered_reference` / `evaluate_fti`.
-  /// Cells outside the region are uncovered, matching the reference.
+  /// tests pin against both oracles in tests/oracles/reference_fti.h.
+  /// Cells outside the region are uncovered, matching the references.
   bool is_cell_covered(Point cell) const;
 
  private:

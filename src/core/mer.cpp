@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/prefix_sum.h"
-
 namespace dmfb {
 namespace {
 
@@ -81,59 +79,6 @@ std::vector<Rect> maximal_empty_rectangles(
 
   sort_rects(result);
   return result;
-}
-
-std::vector<Rect> maximal_empty_rectangles_brute(
-    const Matrix<std::uint8_t>& occupied) {
-  const int width = occupied.width();
-  const int height = occupied.height();
-  std::vector<Rect> result;
-  if (width == 0 || height == 0) return result;
-
-  const PrefixSum2D sums(occupied);
-  for (int y1 = 0; y1 < height; ++y1) {
-    for (int y2 = y1; y2 < height; ++y2) {
-      for (int x1 = 0; x1 < width; ++x1) {
-        for (int x2 = x1; x2 < width; ++x2) {
-          const Rect rect{x1, y1, x2 - x1 + 1, y2 - y1 + 1};
-          if (!sums.is_rect_empty(rect)) continue;
-          const bool left_blocked =
-              x1 == 0 || sums.occupied_in(Rect{x1 - 1, y1, 1, rect.height}) > 0;
-          const bool right_blocked =
-              x2 + 1 == width ||
-              sums.occupied_in(Rect{x2 + 1, y1, 1, rect.height}) > 0;
-          const bool down_blocked =
-              y1 == 0 || sums.occupied_in(Rect{x1, y1 - 1, rect.width, 1}) > 0;
-          const bool up_blocked =
-              y2 + 1 == height ||
-              sums.occupied_in(Rect{x1, y2 + 1, rect.width, 1}) > 0;
-          if (left_blocked && right_blocked && down_blocked && up_blocked) {
-            result.push_back(rect);
-          }
-        }
-      }
-    }
-  }
-
-  sort_rects(result);
-  return result;
-}
-
-std::optional<Rect> largest_empty_rectangle(
-    const Matrix<std::uint8_t>& occupied) {
-  std::optional<Rect> best;
-  for (const Rect& rect : maximal_empty_rectangles(occupied)) {
-    if (!best || rect.area() > best->area()) best = rect;
-  }
-  return best;
-}
-
-bool empty_rect_exists(const Matrix<std::uint8_t>& occupied, int w, int h) {
-  if (w <= 0 || h <= 0) return true;
-  for (const Rect& rect : maximal_empty_rectangles(occupied)) {
-    if (rect.width >= w && rect.height >= h) return true;
-  }
-  return false;
 }
 
 }  // namespace dmfb

@@ -7,17 +7,13 @@
 // technique of Edmonds et al. ("Mining for empty spaces in large data
 // sets", TCS 2003).
 //
-// Three implementations are provided:
-//  * maximal_empty_rectangles       — staircase/histogram sweep, the paper's
-//                                     fast algorithm (output-sensitive, one
-//                                     stack walk per row);
-//  * maximal_empty_rectangles_brute — O(W^2 H^2) reference used by property
-//                                     tests and the ablation bench;
-//  * largest_empty_rectangle        — convenience for tests and policies.
+// maximal_empty_rectangles is the staircase/histogram sweep, the paper's
+// fast algorithm (output-sensitive, one stack walk per row). Its
+// O(W^2 H^2) brute-force reference lives outside the library as a test
+// oracle (tests/oracles/reference_fti.h).
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "util/geometry.h"
@@ -28,19 +24,5 @@ namespace dmfb {
 /// All maximal empty rectangles of the binary grid (nonzero = occupied).
 /// Deterministic order: by top row, then left column.
 std::vector<Rect> maximal_empty_rectangles(const Matrix<std::uint8_t>& occupied);
-
-/// Reference implementation enumerating every candidate rectangle.
-std::vector<Rect> maximal_empty_rectangles_brute(
-    const Matrix<std::uint8_t>& occupied);
-
-/// The maximal empty rectangle of largest area (nullopt when the grid has
-/// no free cell).
-std::optional<Rect> largest_empty_rectangle(
-    const Matrix<std::uint8_t>& occupied);
-
-/// True when some all-empty w-by-h rectangle exists in the grid. Uses the
-/// staircase enumeration; the FTI evaluator uses a prefix-sum method
-/// instead (see fti.h), and tests pin the two against each other.
-bool empty_rect_exists(const Matrix<std::uint8_t>& occupied, int w, int h);
 
 }  // namespace dmfb

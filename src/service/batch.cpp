@@ -117,17 +117,7 @@ std::string render_result_line(const BatchItem& item, std::size_t index,
     doc.set("error", result.error);
     return doc.dump();
   }
-  doc.set("area_cells", static_cast<double>(result.placement.cost.area_cells));
-  doc.set("cost", result.placement.cost.value);
-  doc.set("fti", result.fti.fti());
-  doc.set("makespan_s", result.makespan_s);
-  doc.set("transport_makespan_s", result.transport_makespan_s);
-  doc.set("routed", result.routes.success);
-  doc.set("rounds", static_cast<double>(result.feedback_history.size()));
-  doc.set("selected_round", static_cast<double>(result.selected_round));
-  if (result.placement.placement.module_count() > 0) {
-    doc.set("placement", placement_to_string(result.placement.placement));
-  }
+  append_result_summary(result, doc);
   // Online fault-recovery telemetry (multi-fault campaigns run as batch
   // items with a fault_plan in their options overlay). Deterministic
   // fields only, so re-computed lines stay byte-identical.

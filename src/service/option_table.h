@@ -42,9 +42,9 @@ inline constexpr Range kCount{0, kInf, false};
 
 /// Largest canvas or chip side on the wire. The paper's arrays are tens
 /// of electrodes a side and no wire caller in this repository asks for
-/// more than 32. Each routing search reserves (4 (W + H) + 1) W H states
-/// of 16 bytes up front: 269 MB of address space at 128, 2.1 GB at 256,
-/// and at 512 a PCR compile dies of std::bad_alloc.
+/// more than 32. A routing worker's search states can grow to
+/// (4 (W + H) + 1) W H entries of 16 bytes, 269 MB at 128; the bound
+/// keeps each request's memory small, not just allocatable.
 inline constexpr int kMaxSide = 128;
 
 /// A role, plus a wire key and range iff OnWire (a type-level flag, so

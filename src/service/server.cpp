@@ -204,6 +204,20 @@ CompileRequest CompileServer::parse_request(const std::string& line) const {
   return request;
 }
 
+void append_result_summary(const PipelineResult& result, json::Value& out) {
+  out.set("area_cells", static_cast<double>(result.placement.cost.area_cells));
+  out.set("cost", result.placement.cost.value);
+  out.set("fti", result.fti.fti());
+  out.set("makespan_s", result.makespan_s);
+  out.set("transport_makespan_s", result.transport_makespan_s);
+  out.set("routed", result.routes.success);
+  out.set("rounds", static_cast<double>(result.feedback_history.size()));
+  out.set("selected_round", static_cast<double>(result.selected_round));
+  if (result.placement.placement.module_count() > 0) {
+    out.set("placement", placement_to_string(result.placement.placement));
+  }
+}
+
 std::string CompileServer::render_response(const CompileResponse& response) {
   json::Value doc;
   doc.set("id", response.id);
@@ -219,18 +233,7 @@ std::string CompileServer::render_response(const CompileResponse& response) {
   json::Value result;
   result.set("assay", r.assay_name);
   result.set("seed", json::Value(r.seed));
-  result.set("area_cells",
-             static_cast<double>(r.placement.cost.area_cells));
-  result.set("cost", r.placement.cost.value);
-  result.set("fti", r.fti.fti());
-  result.set("makespan_s", r.schedule.makespan_s());
-  result.set("transport_makespan_s", r.transport_makespan_s);
-  result.set("routed", r.routes.success);
-  result.set("rounds", static_cast<double>(r.feedback_history.size()));
-  result.set("selected_round", static_cast<double>(r.selected_round));
-  if (r.placement.placement.module_count() > 0) {
-    result.set("placement", placement_to_string(r.placement.placement));
-  }
+  append_result_summary(r, result);
   // Online fault-recovery telemetry (present iff the request planned
   // faults — the engine always stamps a detail line when it runs).
   if (!r.recovery.detail.empty()) {

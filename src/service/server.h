@@ -62,6 +62,14 @@ void parse_pipeline_options(const json::Value& value,
 /// both sides.
 json::Value pipeline_options_to_json(const PipelineOptions& options);
 
+/// Adds the result summary that both result lines carry (the server's
+/// "result" object and a batch result line, service/batch.h) to `out`,
+/// in wire order: area_cells, cost, fti, makespan_s,
+/// transport_makespan_s, routed, rounds, selected_round, then placement
+/// when it has modules. Reads only fields a cache file keeps, so a
+/// result loaded by CompileCache::load renders like the live one.
+void append_result_summary(const PipelineResult& result, json::Value& out);
+
 struct ServerOptions {
   /// Compile workers (0 = hardware concurrency).
   int workers = 0;

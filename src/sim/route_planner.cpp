@@ -110,10 +110,7 @@ void ReservationTable::apply(const TimedRoute& route, int delta) {
   const int last = std::min(route.arrival_step(), horizon_);
   const std::size_t planes_needed =
       (static_cast<std::size_t>(last) + 1) * width_ * height_;
-  if (steps_.size() < planes_needed) {
-    steps_.reserve(static_cast<std::size_t>(horizon_ + 1) * width_ * height_);
-    steps_.resize(planes_needed, 0);
-  }
+  if (steps_.size() < planes_needed) steps_.resize(planes_needed, 0);
   for (int step = 0; step <= last; ++step) {
     const Point here = position_at(route, step);
     const Point around[3] = {position_at(route, step - 1), here,
@@ -253,12 +250,10 @@ std::optional<PricedRoute> route_transfer(
   if (start_g == kInf) return std::nullopt;
 
   // Entries exist up to the deepest step any search on this scratch has
-  // reached; a search grows them one step plane at a time as it goes,
-  // inside a capacity reserved for the horizon (so growing never copies,
-  // and pages past the deepest step stay untouched).
+  // reached; a search grows them one step plane at a time as it goes
+  // (pages past the deepest step stay untouched).
   std::vector<SearchScratch::State>& states = scratch.states;
   const std::size_t plane = static_cast<std::size_t>(width) * height;
-  states.reserve(static_cast<std::size_t>(horizon + 1) * plane);
   const std::uint32_t generation = ++scratch.generation;
   if (generation == 0) {  // wrapped: clear the stamps once
     for (SearchScratch::State& state : states) state.stamp = 0;

@@ -322,8 +322,9 @@ class ReservationTable {
 /// changeovers. `solve_changeovers` gives each worker one scratch for the
 /// whole plan, so no search or changeover allocates or clears state
 /// arrays of its own. Buffers only grow, a step plane (W*H states) at a
-/// time, inside a capacity reserved for the horizon: growing never
-/// copies, and memory past the deepest step used is never touched.
+/// time as deeper steps are reached: memory past the deepest step used
+/// is never touched, and no buffer is sized for the whole horizon up
+/// front.
 struct SearchScratch {
   /// A* state of one (cell, step): best cost, parent cell and stamp. A
   /// state whose stamp differs from `generation` is unvisited (+infinity),

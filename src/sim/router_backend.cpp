@@ -92,8 +92,7 @@ std::vector<std::size_t> conflicted_routes(
     std::vector<double>& history = scratch->history;
     const int s = std::min(step, horizon);
     const std::size_t k = key(p, s);
-    if (k >= history.size()) {  // grow through plane s, inside the horizon
-      history.reserve(key(Point{0, 0}, horizon + 1));
+    if (k >= history.size()) {  // grow through plane s
       history.resize(key(Point{0, 0}, s + 1), 0.0);
     }
     if (history[k] == 0.0) scratch->history_cells.push_back(k);

@@ -275,8 +275,7 @@ SimEngineRun EventSimEngine::run_online(const SequencingGraph& graph,
       std::fill(astar_stamp_.begin(), astar_stamp_.end(), 0u);
       astar_generation_ = 1;
     }
-    auto frontier = frontier_pool_.acquire();
-    std::vector<std::uint64_t>& heap = *frontier;
+    std::vector<std::uint64_t>& heap = frontier_;
     heap.clear();
     const int width = blocked_.width();
     const int to_index = to.y * width + to.x;

@@ -19,7 +19,7 @@
 //     correct instead of rebuilding W*H cells each, and a run that tears
 //     every module down leaves a clean grid the next run reuses outright
 //     (keyed on Chip::fault_revision()).
-//   - Shortest-path queries run on a generation-stamped A* (pooled
+//   - Shortest-path queries run on a generation-stamped A* (reused
 //     frontier and cost arrays, no per-call allocation) that returns the
 //     optimal path *length* — the only thing the simulation model
 //     consumes — and skips the search entirely when no obstacle
@@ -40,6 +40,7 @@
 // notification split: callers observe every dispatched event).
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <optional>
@@ -50,7 +51,6 @@
 #include "sim/simulator.h"
 #include "util/cost_statistic.h"
 #include "util/matrix.h"
-#include "util/memory_pool.h"
 
 namespace dmfb {
 
@@ -246,7 +246,7 @@ class EventSimEngine {
   std::vector<int> astar_g_;         ///< generation-stamped best-g grid
   std::vector<std::uint32_t> astar_stamp_;
   std::uint32_t astar_generation_ = 0;
-  MemoryPool<std::vector<std::uint64_t>> frontier_pool_;  ///< A* heaps
+  std::vector<std::uint64_t> frontier_;  ///< A* heap, reused per search
   std::string event_buffer_;  ///< reused event-string assembly buffer
 };
 

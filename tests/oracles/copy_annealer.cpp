@@ -4,8 +4,33 @@
 #include "core/greedy_placer.h"
 #include "core/moves.h"
 #include "core/placer.h"
+#include "oracles/reference_fti.h"
 
 namespace dmfb::oracle {
+
+CostBreakdown evaluate_cost(const CostEvaluator& evaluator,
+                            const Placement& placement) {
+  const CostWeights& weights = evaluator.weights();
+  CostBreakdown result;
+  result.area_cells = placement.bounding_box_cells();
+  result.overlap_cells = placement.overlap_cells();
+  result.defect_cells = evaluator.defect_usage(placement);
+  if (weights.beta != 0.0) {
+    result.fti =
+        evaluate_fti_reference(placement, evaluator.fti_options()).fti();
+  }
+  result.value = weights.alpha * static_cast<double>(result.area_cells) +
+                 weights.lambda_overlap *
+                     static_cast<double>(result.overlap_cells) +
+                 weights.lambda_defect *
+                     static_cast<double>(result.defect_cells) -
+                 weights.beta * result.fti;
+  if (weights.gamma != 0.0) {
+    result.route_pressure = evaluator.route_pressure(placement);
+    result.value += weights.gamma * static_cast<double>(result.route_pressure);
+  }
+  return result;
+}
 
 PlacementOutcome anneal_copy(const Placement& initial,
                              const PlacerContext& context) {
@@ -19,7 +44,9 @@ PlacementOutcome anneal_copy(const Placement& initial,
   PlacementOutcome outcome;
   long long proposals_by_kind[AnnealingStats::kMoveKindSlots] = {0, 0, 0, 0};
   AnnealingProblem<Placement> problem;
-  problem.cost = [&](const Placement& p) { return evaluator.cost(p); };
+  problem.cost = [&](const Placement& p) {
+    return evaluate_cost(evaluator, p).value;
+  };
   problem.neighbor = [&](const Placement& p, double fraction, Rng& move_rng) {
     Placement next = p;
     const MoveKind kind =
@@ -35,7 +62,7 @@ PlacementOutcome anneal_copy(const Placement& initial,
   for (int k = 0; k < AnnealingStats::kMoveKindSlots; ++k) {
     outcome.stats.proposals_by_kind[k] = proposals_by_kind[k];
   }
-  outcome.cost = evaluator.evaluate(outcome.placement);
+  outcome.cost = evaluate_cost(evaluator, outcome.placement);
   outcome.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     start_time)

@@ -5,10 +5,13 @@
 // Every proposal copies the whole state and re-evaluates its cost from
 // scratch: slow, but obviously the paper's loop (Fig. 3). It shares no
 // code with the production loop — only the schedule and stats types —
-// so a seed-for-seed match between the two (test_incremental_cost,
-// test_closed_loop, bench_perf_sa) checks the delta evaluator and the
-// in-place loop together. Built into the dmfb_oracles library, linked by
-// the tests and bench_perf_sa only; the dmfb library never sees it.
+// and prices FTI with the summed-area-table oracle
+// (oracles/reference_fti.h), not the library's bitboard kernel, so a
+// seed-for-seed match between the two (test_incremental_cost,
+// test_closed_loop, bench_perf_sa) checks the delta evaluator, its FTI
+// kernel and the in-place loop together. Built into the dmfb_oracles
+// library, linked by the tests, bench_perf_sa, bench_perf_sim and
+// bench_perf_mer only; the dmfb library never sees it.
 #pragma once
 
 #include <algorithm>
@@ -19,6 +22,7 @@
 
 #include "assay/schedule.h"
 #include "core/annealer.h"
+#include "core/cost.h"
 #include "core/placement.h"
 #include "core/placer.h"
 #include "util/rng.h"
@@ -111,11 +115,18 @@ State anneal(State initial, const AnnealingProblem<State>& problem,
   return have_best ? best : current;
 }
 
+/// CostEvaluator::evaluate with the FTI term priced by the
+/// summed-area-table oracle: same terms, same arithmetic order, so equal
+/// coverage counts give bit-identical values. `evaluator` supplies the
+/// weights, FTI options, defects and route links.
+CostBreakdown evaluate_cost(const CostEvaluator& evaluator,
+                            const Placement& placement);
+
 /// The copying placement engine: anneal() over whole Placement copies,
-/// each proposal made by apply_random_move and priced by
-/// CostEvaluator::cost. The oracle counterpart of dmfb::anneal_from —
-/// same context, same seed, and (by the delta engine's contract) the
-/// same placement, cost and stats.
+/// each proposal made by apply_random_move and priced by evaluate_cost.
+/// The oracle counterpart of dmfb::anneal_from — same context, same
+/// seed, and (by the delta engine's contract) the same placement, cost
+/// and stats.
 PlacementOutcome anneal_copy(const Placement& initial,
                              const PlacerContext& context);
 

@@ -222,7 +222,7 @@ TEST(ClosedLoopTest, IncrementalStateTracksRoutePressureThroughMoves) {
     EXPECT_EQ(state.breakdown().route_pressure,
               evaluator.route_pressure(state.placement()));
     EXPECT_DOUBLE_EQ(state.cost(),
-                     evaluator.evaluate(state.placement()).value);
+                     oracle::evaluate_cost(evaluator, state.placement()).value);
 
     // Drive a few hundred random moves through propose/commit/revert and
     // re-check the maintained tallies against a from-scratch evaluation.
@@ -238,7 +238,8 @@ TEST(ClosedLoopTest, IncrementalStateTracksRoutePressureThroughMoves) {
         state.revert();
       }
     }
-    const CostBreakdown fresh = evaluator.evaluate(state.placement());
+    const CostBreakdown fresh =
+        oracle::evaluate_cost(evaluator, state.placement());
     EXPECT_EQ(state.breakdown().route_pressure, fresh.route_pressure)
         << "beta " << beta;
     EXPECT_DOUBLE_EQ(state.cost(), fresh.value) << "beta " << beta;

@@ -1,15 +1,11 @@
 // Tests for the simulation-support utilities: CostStatistic /
-// ScopedCostTimer (util/cost_statistic.h), MemoryPool
-// (util/memory_pool.h) and the pipeline's StageStatsCollector observer
-// adapter (assay/pipeline.h).
+// ScopedCostTimer (util/cost_statistic.h) and the pipeline's
+// StageStatsCollector observer adapter (assay/pipeline.h).
 #include "util/cost_statistic.h"
 
 #include <gtest/gtest.h>
 
-#include <vector>
-
 #include "assay/pipeline.h"
-#include "util/memory_pool.h"
 
 namespace dmfb {
 namespace {
@@ -50,47 +46,6 @@ TEST(CostStatisticTest, ScopedTimerRecordsOneSample) {
   }
   EXPECT_EQ(stat.count, 1);
   EXPECT_GE(stat.max, 0.0);
-}
-
-TEST(MemoryPoolTest, RecyclesObjectsWithCapacityIntact) {
-  MemoryPool<std::vector<int>> pool;
-  const int* data = nullptr;
-  {
-    auto handle = pool.acquire();
-    handle->assign(1000, 7);
-    data = handle->data();
-  }  // handle destroyed -> object parked, buffer kept
-  EXPECT_EQ(pool.available(), 1u);
-  EXPECT_EQ(pool.constructions(), 1);
-  auto again = pool.acquire();
-  EXPECT_EQ(pool.reuses(), 1);
-  EXPECT_EQ(again->data(), data);     // same heap buffer came back
-  EXPECT_GE(again->capacity(), 1000u);  // capacity survived the round trip
-}
-
-TEST(MemoryPoolTest, DistinctHandlesDistinctObjects) {
-  MemoryPool<std::vector<int>> pool;
-  auto a = pool.acquire();
-  auto b = pool.acquire();
-  EXPECT_NE(&*a, &*b);
-  EXPECT_EQ(pool.constructions(), 2);
-  a.release();
-  EXPECT_FALSE(a);
-  EXPECT_EQ(pool.available(), 1u);
-  auto c = pool.acquire();  // revives a's object, not b's
-  EXPECT_NE(&*c, &*b);
-  EXPECT_EQ(pool.reuses(), 1);
-}
-
-TEST(MemoryPoolTest, HandleMoveTransfersOwnership) {
-  MemoryPool<std::vector<int>> pool;
-  auto a = pool.acquire();
-  std::vector<int>* object = &*a;
-  MemoryPool<std::vector<int>>::Handle b = std::move(a);
-  EXPECT_FALSE(a);  // NOLINT(bugprone-use-after-move): moved-from is empty
-  ASSERT_TRUE(b);
-  EXPECT_EQ(&*b, object);
-  EXPECT_EQ(pool.available(), 0u);  // still checked out
 }
 
 TEST(StageStatsCollectorTest, FoldsStageObservations) {

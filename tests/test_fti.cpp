@@ -1,6 +1,7 @@
 // Tests for the Fault Tolerance Index (core/fti.h), including the pinning
-// property: the fast evaluator must agree with the MER-based reference
-// definition cell by cell.
+// property: the library's bitboard kernel must agree cell by cell with
+// both oracles in tests/oracles/reference_fti.h — the summed-area-table
+// evaluator and the MER-based definition.
 #include "core/fti.h"
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include "assay/assay_library.h"
 #include "assay/scheduler.h"
 #include "core/greedy_placer.h"
+#include "oracles/reference_fti.h"
 #include "util/rng.h"
 
 namespace dmfb {
@@ -118,7 +120,8 @@ TEST(FtiTest, FastEvaluatorMatchesReferenceOnPcr) {
   long long reference_covered = 0;
   for (int y = region.y; y < region.top(); ++y) {
     for (int x = region.x; x < region.right(); ++x) {
-      const bool ref = is_cell_covered_reference(p, Point{x, y}, {}, region);
+      const bool ref =
+          oracle::is_cell_covered_reference(p, Point{x, y}, {}, region);
       const bool fst =
           fast.covered.at(x - region.x, y - region.y) != 0;
       EXPECT_EQ(ref, fst) << "cell (" << x << "," << y << ")";
@@ -128,9 +131,39 @@ TEST(FtiTest, FastEvaluatorMatchesReferenceOnPcr) {
   EXPECT_EQ(reference_covered, fast.covered_cells);
 }
 
+/// `evaluate_fti`, the summed-area-table oracle and the MER definition
+/// over `region`, compared cell for cell.
+void expect_kernel_matches_oracles(const Placement& p,
+                                   const FtiOptions& options,
+                                   const Rect& region) {
+  const FtiResult kernel = evaluate_fti(p, options, region);
+  const FtiResult summed = oracle::evaluate_fti_reference(p, options, region);
+  EXPECT_EQ(kernel.array, region);
+  EXPECT_EQ(kernel.total_cells, summed.total_cells);
+  EXPECT_EQ(kernel.covered_cells, summed.covered_cells);
+  ASSERT_EQ(kernel.covered.width(), summed.covered.width());
+  ASSERT_EQ(kernel.covered.height(), summed.covered.height());
+  long long definition_covered = 0;
+  for (int y = region.y; y < region.top(); ++y) {
+    for (int x = region.x; x < region.right(); ++x) {
+      const bool definition =
+          oracle::is_cell_covered_reference(p, Point{x, y}, options, region);
+      if (definition) ++definition_covered;
+      const Point local{x - region.x, y - region.y};
+      EXPECT_EQ(kernel.covered.at(local) != 0, definition)
+          << "kernel cell (" << x << "," << y << ")";
+      EXPECT_EQ(summed.covered.at(local) != 0, definition)
+          << "summed-area cell (" << x << "," << y << ")";
+    }
+  }
+  if (!region.empty()) {
+    EXPECT_EQ(kernel.covered_cells, definition_covered);
+  }
+}
+
 class FtiRandomPinning : public ::testing::TestWithParam<int> {};
 
-TEST_P(FtiRandomPinning, FastEqualsReferenceOnRandomPlacements) {
+TEST_P(FtiRandomPinning, KernelEqualsBothOraclesOnRandomPlacements) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 1237 + 3);
   const ModuleSpec shapes[] = {
       {"a", ModuleKind::kMixer, 2, 2, 10.0},
@@ -157,15 +190,36 @@ TEST_P(FtiRandomPinning, FastEqualsReferenceOnRandomPlacements) {
                             static_cast<int>(
                                 rng.next_below(canvas - fp.height + 1))});
     }
-    const Rect region = p.bounding_box();
-    const FtiOptions options{.allow_rotation = rng.next_bool(0.5)};
-    const FtiResult fast = evaluate_fti(p, options, region);
-    for (int y = region.y; y < region.top(); ++y) {
-      for (int x = region.x; x < region.right(); ++x) {
-        const bool ref =
-            is_cell_covered_reference(p, Point{x, y}, options, region);
-        EXPECT_EQ(ref, fast.covered.at(x - region.x, y - region.y) != 0)
-            << "trial " << trial << " cell (" << x << "," << y << ")";
+    // Odd trials hang module 0 off one canvas edge by 1..3 cells, so the
+    // bounding box (and the kernel's domain) grows past the canvas.
+    if (trial % 2 == 1) {
+      const Rect fp = p.module(0).footprint();
+      const int overhang = 1 + static_cast<int>(rng.next_below(3));
+      Point anchor = p.module(0).anchor;
+      switch (rng.next_below(4)) {
+        case 0: anchor.x = -overhang; break;
+        case 1: anchor.x = canvas - fp.width + overhang; break;
+        case 2: anchor.y = -overhang; break;
+        default: anchor.y = canvas - fp.height + overhang; break;
+      }
+      p.set_anchor(0, anchor);
+    }
+    const Rect box = p.bounding_box();
+    const Rect regions[] = {
+        box,
+        Rect{-2, -3, canvas + 5, canvas + 4},  // past the canvas everywhere
+        Rect{box.x + 1, box.y + 2, box.width - 3, box.height - 3},  // inside
+        Rect{},
+        Rect{box.x + 1, box.y, 0, box.height},  // zero width
+    };
+    for (const bool rotation : {true, false}) {
+      const FtiOptions options{.allow_rotation = rotation};
+      for (const Rect& region : regions) {
+        SCOPED_TRACE(testing::Message()
+                     << "trial " << trial << " rotation " << rotation
+                     << " region (" << region.x << "," << region.y << ") "
+                     << region.width << "x" << region.height);
+        expect_kernel_matches_oracles(p, options, region);
       }
     }
   }
@@ -173,13 +227,42 @@ TEST_P(FtiRandomPinning, FastEqualsReferenceOnRandomPlacements) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FtiRandomPinning, ::testing::Range(0, 10));
 
-TEST(FtiTest, CountOnlyPathAgreesWithFullEvaluation) {
+TEST(FtiTest, LastAnchorReadsTheNextBitboardWord) {
+  // Module A (3x3 footprint) sits in a slot exactly its width, walled by
+  // C on the left and by B's one column at x = `boundary`, the first bit
+  // of the next bitboard word. Only anchor x = boundary - 3 is valid, so
+  // all of A's cells are uncovered; reading one word too few would let
+  // the anchor at boundary - 2 through and cover column boundary - 3.
+  for (const int boundary : {64, 128}) {
+    SCOPED_TRACE(testing::Message() << "boundary " << boundary);
+    Schedule s;
+    const auto add = [&](int index, int functional_width) {
+      const ModuleSpec spec{"m", ModuleKind::kMixer, functional_width, 1,
+                            10.0};
+      s.add(ScheduledModule{index, "M", spec, 0.0, 10.0, -1, -1});
+    };
+    add(0, 1);             // A
+    add(1, 1);             // B, hanging two columns off the canvas
+    add(2, boundary - 5);  // C
+    Placement p(s, boundary + 1, 3);
+    p.set_anchor(0, {boundary - 3, 0});
+    p.set_anchor(1, {boundary, 0});
+    p.set_anchor(2, {0, 0});
+    const Rect canvas{0, 0, boundary + 1, 3};
+    expect_kernel_matches_oracles(p, {}, canvas);
+    for (int y = 0; y < 3; ++y) {
+      EXPECT_EQ(evaluate_fti(p, {}, canvas).covered.at(boundary - 3, y), 0);
+    }
+  }
+}
+
+TEST(FtiTest, CoveredCountMatchesSummedAreaOracleOnPcr) {
   const auto assay = pcr_mixing_assay();
   const Schedule schedule =
       list_schedule(assay.graph, assay.binding, assay.scheduler_options);
   const Placement p = place_greedy(schedule, 16, 16);
   const Rect region = p.bounding_box();
-  EXPECT_EQ(covered_cell_count(p, {}, region),
+  EXPECT_EQ(oracle::evaluate_fti_reference(p, {}, region).covered_cells,
             evaluate_fti(p, {}, region).covered_cells);
 }
 

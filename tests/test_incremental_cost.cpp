@@ -1,8 +1,11 @@
 // Cross-checks for the delta-cost engine (core/incremental_cost.h): the
-// incremental state must track the from-scratch CostEvaluator exactly —
-// after every propose, commit and revert, for beta = 0 and beta > 0, with
-// and without defect maps — and the delta annealing engine must replay the
-// copying oracle's (tests/oracles/) trajectory seed for seed.
+// incremental state must track a from-scratch evaluation exactly — after
+// every propose, commit and revert, for beta = 0 and beta > 0, with and
+// without defect maps — and the delta annealing engine must replay the
+// copying oracle's (tests/oracles/) trajectory seed for seed. Every FTI
+// reference here is an oracle (oracles/reference_fti.h), never the
+// library's evaluate_fti: that is a full build of the same bitboard
+// kernel the incremental state patches.
 #include "core/incremental_cost.h"
 
 #include <gtest/gtest.h>
@@ -14,6 +17,7 @@
 #include "core/placer.h"
 #include "core/sa_placer.h"
 #include "oracles/copy_annealer.h"
+#include "oracles/reference_fti.h"
 #include "util/rng.h"
 
 namespace dmfb {
@@ -81,9 +85,13 @@ const Layout kNoRotation{.width = 16, .height = 16,
 const Layout kOutsideCanvas{.width = 66, .height = 10, .fti = {},
                             .pinned = {{0, {-2, 3}}, {1, {40, 8}}}};
 
+/// The tracked breakdown against the copying oracle's from-scratch
+/// pricing (CostEvaluator::evaluate's terms, FTI from the
+/// summed-area-table oracle).
 void expect_matches_evaluator(const IncrementalPlacementState& state,
                               const CostEvaluator& evaluator) {
-  const CostBreakdown fresh = evaluator.evaluate(state.placement());
+  const CostBreakdown fresh =
+      oracle::evaluate_cost(evaluator, state.placement());
   const CostBreakdown tracked = state.breakdown();
   EXPECT_EQ(tracked.area_cells, fresh.area_cells);
   EXPECT_EQ(tracked.overlap_cells, fresh.overlap_cells);
@@ -259,8 +267,8 @@ TEST(IncrementalCostTest, GenerateThenApplyEqualsApplyRandomMove) {
 /// The coverage-grid audit (the per-cell counterpart of
 /// run_cross_check): `steps` random moves with random commit/revert
 /// decisions, pinning the incremental evaluator's per-cell coverage
-/// state against BOTH reference evaluators after every operation —
-/// `evaluate_fti`'s mask and the definition-faithful
+/// state against BOTH oracles after every operation — the
+/// summed-area-table evaluator's mask and the definition-faithful
 /// `is_cell_covered_reference` — including mid-proposal, where the
 /// eager state reflects the proposed placement.
 void run_coverage_audit(double beta, double gamma, std::uint64_t seed,
@@ -289,8 +297,8 @@ void run_coverage_audit(double beta, double gamma, std::uint64_t seed,
     if (fti == nullptr) return;  // beta == 0: the term is never engaged
     const Rect region = state.placement().bounding_box();
     ASSERT_EQ(fti->region(), region) << when << " step " << step;
-    const FtiResult reference =
-        evaluate_fti(state.placement(), fti->options(), region);
+    const FtiResult reference = oracle::evaluate_fti_reference(
+        state.placement(), fti->options(), region);
     EXPECT_EQ(fti->covered_cells(), reference.covered_cells)
         << when << " step " << step;
     // Every region cell plus a one-cell ring outside (uncovered by
@@ -300,11 +308,11 @@ void run_coverage_audit(double beta, double gamma, std::uint64_t seed,
         const Point cell{x, y};
         const bool incremental = fti->is_cell_covered(cell);
         const bool in_region = region.contains(cell);
-        const bool fast = in_region && reference.covered.at(
-                                           x - region.x, y - region.y) != 0;
-        ASSERT_EQ(incremental, fast)
+        const bool summed = in_region && reference.covered.at(
+                                             x - region.x, y - region.y) != 0;
+        ASSERT_EQ(incremental, summed)
             << when << " step " << step << " cell (" << x << "," << y << ")";
-        const bool definition = is_cell_covered_reference(
+        const bool definition = oracle::is_cell_covered_reference(
             state.placement(), cell, fti->options(), region);
         ASSERT_EQ(incremental, definition)
             << when << " step " << step << " cell (" << x << "," << y << ")";
@@ -375,7 +383,7 @@ TEST(IncrementalCostTest, CoverageAuditWithModuleOutsideCanvas) {
 /// word boundary at x = `boundary`, then jump the boxed module over it,
 /// so its whole footprint is patched into the walls' bitboards straddling
 /// two words. The incremental evaluator's per-cell coverage must match
-/// `evaluate_fti` after every update and every restore.
+/// the summed-area-table oracle after every update and every restore.
 void run_word_boundary_sweep(int boundary, FtiOptions options) {
   Schedule schedule;
   const auto add = [&](int index, int functional_width) {
@@ -394,7 +402,8 @@ void run_word_boundary_sweep(int boundary, FtiOptions options) {
   FtiIncrementalEvaluator fti(options);
   FtiIncrementalEvaluator::Backup backup;
   const auto check = [&](const char* when, int step) {
-    const FtiResult reference = evaluate_fti(placement, options, region);
+    const FtiResult reference =
+        oracle::evaluate_fti_reference(placement, options, region);
     EXPECT_EQ(fti.covered_cells(), reference.covered_cells)
         << when << " step " << step;
     for (int y = region.y; y < region.top(); ++y) {

@@ -1,6 +1,7 @@
 // Tests for the maximal-empty-rectangle machinery (§5.3): the staircase
-// enumeration is pinned against a brute-force reference on directed cases
-// and on randomized grids.
+// enumeration is pinned against the brute-force oracle
+// (tests/oracles/reference_fti.h) on directed cases and on randomized
+// grids.
 #include "core/mer.h"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <set>
 #include <tuple>
 
+#include "oracles/reference_fti.h"
 #include "util/rng.h"
 
 namespace dmfb {
@@ -47,7 +49,7 @@ TEST(MerTest, EmptyGridHasOneMaximalRect) {
 TEST(MerTest, FullGridHasNone) {
   const Matrix<std::uint8_t> grid(3, 3, 1);
   EXPECT_TRUE(maximal_empty_rectangles(grid).empty());
-  EXPECT_TRUE(maximal_empty_rectangles_brute(grid).empty());
+  EXPECT_TRUE(oracle::maximal_empty_rectangles_brute(grid).empty());
 }
 
 TEST(MerTest, ZeroSizedGrid) {
@@ -99,7 +101,7 @@ TEST(MerTest, MatchesBruteForceOnDirectedCases) {
   for (const auto& rows : cases) {
     const auto grid = grid_from(rows);
     EXPECT_EQ(to_set(maximal_empty_rectangles(grid)),
-              to_set(maximal_empty_rectangles_brute(grid)))
+              to_set(oracle::maximal_empty_rectangles_brute(grid)))
         << "case with " << rows.size() << " rows";
   }
 }
@@ -146,41 +148,25 @@ TEST_P(MerRandomEquivalence, StaircaseEqualsBruteForce) {
       }
     }
     EXPECT_EQ(to_set(maximal_empty_rectangles(grid)),
-              to_set(maximal_empty_rectangles_brute(grid)))
+              to_set(oracle::maximal_empty_rectangles_brute(grid)))
         << "grid " << w << "x" << h << " density " << density;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MerRandomEquivalence, ::testing::Range(0, 10));
 
-TEST(MerTest, LargestEmptyRectangle) {
+TEST(MerTest, StepShapedFreeSpace) {
   const auto grid = grid_from({
       "....",
       "##..",
       "##..",
   });
-  const auto best = largest_empty_rectangle(grid);
-  ASSERT_TRUE(best.has_value());
-  // The 2x3 right block (area 6) beats the 4x1 top strip (area 4).
-  EXPECT_EQ(*best, (Rect{2, 0, 2, 3}));
-}
-
-TEST(MerTest, LargestOnFullGridIsNullopt) {
-  const Matrix<std::uint8_t> grid(2, 2, 1);
-  EXPECT_FALSE(largest_empty_rectangle(grid).has_value());
-}
-
-TEST(MerTest, EmptyRectExists) {
-  const auto grid = grid_from({
-      "....",
-      "##..",
-      "##..",
+  const auto mers = to_set(maximal_empty_rectangles(grid));
+  const auto expected = to_set({
+      Rect{2, 0, 2, 3},  // right block: a 2x3 fits, a 3x2 does not
+      Rect{0, 2, 4, 1},  // top strip: a 4x1 fits, a 4x2 does not
   });
-  EXPECT_TRUE(empty_rect_exists(grid, 2, 3));
-  EXPECT_TRUE(empty_rect_exists(grid, 4, 1));
-  EXPECT_FALSE(empty_rect_exists(grid, 3, 2));
-  EXPECT_FALSE(empty_rect_exists(grid, 4, 2));
-  EXPECT_TRUE(empty_rect_exists(grid, 0, 5));  // degenerate always fits
+  EXPECT_EQ(mers, expected);
 }
 
 }  // namespace

@@ -176,6 +176,22 @@ TEST(PipelineTest, RouteStageReportsRouterBackend) {
   EXPECT_EQ(route_detail.rfind("restart: ", 0), 0u) << route_detail;
 }
 
+TEST(PipelineTest, LargeChipRoutesWithoutReservingTheWholeHorizon) {
+  // A 512 x 512 chip has a 4097-step routing horizon. Reserving every
+  // step plane of search states up front is ~17 GB and used to throw
+  // std::bad_alloc before the first route; the buffers now grow with the
+  // deepest step a search reaches.
+  PipelineOptions options = fast_options();
+  options.placer = "greedy";
+  options.chip_width = 512;
+  options.chip_height = 512;
+  const PipelineResult result =
+      SynthesisPipeline(options).run(pcr_mixing_assay());
+  EXPECT_TRUE(result.ok) << result.error;
+  EXPECT_TRUE(result.routes.success);
+  EXPECT_GT(result.transport_makespan_s, 0.0);
+}
+
 TEST(PipelineTest, RunManyIsReproducibleAndOrdered) {
   const ModuleLibrary library = ModuleLibrary::standard();
   std::vector<AssayCase> cases;

@@ -1,13 +1,16 @@
-// Unit + property tests for util/prefix_sum.h; the FTI fast path depends
-// on exact agreement between the summed-area table and direct counting.
-#include "util/prefix_sum.h"
-
+// Unit + property tests for the summed-area table of the FTI oracles
+// (tests/oracles/reference_fti.h): the summed-area-table evaluator and
+// the brute-force MER enumeration depend on exact agreement between the
+// table and direct counting.
 #include <gtest/gtest.h>
 
+#include "oracles/reference_fti.h"
 #include "util/rng.h"
 
 namespace dmfb {
 namespace {
+
+using oracle::PrefixSum2D;
 
 Matrix<std::uint8_t> random_grid(int w, int h, double density, Rng& rng) {
   Matrix<std::uint8_t> grid(w, h, 0);
@@ -50,35 +53,6 @@ TEST(PrefixSumTest, EmptyRectQueryIsZero) {
   const PrefixSum2D sums(grid);
   EXPECT_EQ(sums.occupied_in(Rect{}), 0);
   EXPECT_EQ(sums.occupied_in(Rect{1, 1, 0, 2}), 0);
-}
-
-TEST(PrefixSumTest, FindEmptyRectBottomLeftFirst) {
-  // Free 2x2 windows exist at several places; the scan returns the
-  // bottom-left-most.
-  Matrix<std::uint8_t> grid(4, 4, 0);
-  grid.at(0, 0) = 1;
-  const PrefixSum2D sums(grid);
-  const auto found = sums.find_empty_rect(2, 2);
-  ASSERT_TRUE(found.has_value());
-  EXPECT_EQ(*found, (Rect{1, 0, 2, 2}));
-}
-
-TEST(PrefixSumTest, FindEmptyRectImpossibleSizes) {
-  const Matrix<std::uint8_t> grid(4, 4, 0);
-  const PrefixSum2D sums(grid);
-  EXPECT_FALSE(sums.find_empty_rect(5, 1).has_value());
-  EXPECT_FALSE(sums.find_empty_rect(1, 5).has_value());
-  EXPECT_FALSE(sums.find_empty_rect(0, 2).has_value());
-  EXPECT_TRUE(sums.find_empty_rect(4, 4).has_value());
-}
-
-TEST(PrefixSumTest, FitsEmptyOnPartiallyOccupied) {
-  Matrix<std::uint8_t> grid(5, 3, 0);
-  for (int y = 0; y < 3; ++y) grid.at(2, y) = 1;  // wall at x=2
-  const PrefixSum2D sums(grid);
-  EXPECT_TRUE(sums.fits_empty(2, 3));
-  EXPECT_FALSE(sums.fits_empty(3, 1));
-  EXPECT_FALSE(sums.fits_empty(3, 3));
 }
 
 class PrefixSumPropertyTest : public ::testing::TestWithParam<int> {};

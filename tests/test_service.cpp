@@ -29,6 +29,7 @@
 #include "assay/scheduler.h"
 #include "io/assay_format.h"
 #include "io/json.h"
+#include "service/batch.h"
 #include "service/option_table.h"
 
 namespace dmfb {
@@ -800,6 +801,91 @@ TEST(ServerTest, FaultPlanRequestCarriesRecoveryTelemetry) {
   EXPECT_GT(recovery->find("time_lost_s")->as_number(), 0.0);
   EXPECT_FALSE(recovery->find("attempts")->as_array().empty());
   EXPECT_GE(recovery->find("cycles")->as_number(), 1.0);
+}
+
+/// Greedy PCR on a 20 x 20 chip, simulated, seed 7: the compile the
+/// golden result lines below were rendered from.
+PipelineOptions summary_options() {
+  PipelineOptions options;
+  options.placer = "greedy";
+  options.simulate = true;
+  options.chip_width = 20;
+  options.chip_height = 20;
+  options.seed = 7;
+  return options;
+}
+
+TEST(ServerTest, ResultLinesMatchGoldenCaptures) {
+  // The server's response line and the batch result line, without and
+  // then with a fault planned under module 0, byte for byte as rendered
+  // before both shared append_result_summary.
+  const char* const golden[] = {
+      R"json({"id":"golden","ok":true,"source":"miss","wall_s":0.5,"result":{"assay":"pcr-mixing-stage","seed":7,"area_cells":78,"cost":78,"fti":0.6410256410256411,"makespan_s":24,"transport_makespan_s":26.923076923076923,"routed":true,"rounds":0,"selected_round":0,"placement":"placement 24 24\nplace 0 6 0 0  # M1\nplace 1 0 0 0  # M2\nplace 2 0 0 0  # M3\nplace 3 3 0 0  # M4\nplace 4 0 0 0  # M5\nplace 5 3 0 0  # M6\nplace 6 0 0 0  # M7\nplace 7 7 0 0  # S(M1)\nplace 8 10 0 0  # S(M3)\nplace 9 0 0 0  # S(M5)\nend\n"}})json",
+      R"json({"id":"item","index":3,"assay":"pcr-mixing-stage","seed":"7","fingerprint":"16757742581759998842","ok":true,"area_cells":78,"cost":78,"fti":0.6410256410256411,"makespan_s":24,"transport_makespan_s":26.923076923076923,"routed":true,"rounds":0,"selected_round":0,"placement":"placement 24 24\nplace 0 6 0 0  # M1\nplace 1 0 0 0  # M2\nplace 2 0 0 0  # M3\nplace 3 3 0 0  # M4\nplace 4 0 0 0  # M5\nplace 5 3 0 0  # M6\nplace 6 0 0 0  # M7\nplace 7 7 0 0  # S(M1)\nplace 8 10 0 0  # S(M3)\nplace 9 0 0 0  # S(M5)\nend\n"})json",
+      R"json({"id":"golden","ok":true,"source":"miss","wall_s":0.5,"result":{"assay":"pcr-mixing-stage","seed":7,"area_cells":78,"cost":78,"fti":0.6410256410256411,"makespan_s":24,"transport_makespan_s":26.923076923076923,"routed":true,"rounds":0,"selected_round":0,"placement":"placement 24 24\nplace 0 6 0 0  # M1\nplace 1 0 0 0  # M2\nplace 2 0 0 0  # M3\nplace 3 3 0 0  # M4\nplace 4 0 0 0  # M5\nplace 5 3 0 0  # M6\nplace 6 0 0 0  # M7\nplace 7 7 0 0  # S(M1)\nplace 8 10 0 0  # S(M3)\nplace 9 0 0 0  # S(M5)\nend\n","recovery":{"faults":1,"cycles":1,"recovered":true,"completed":true,"time_lost_s":5,"resumed_from_s":5,"detail":"completed after 1 recovery cycle(s)","attempts":[{"action":"reconfigure","cycle":1,"success":true}]}}})json",
+      R"json({"id":"item","index":3,"assay":"pcr-mixing-stage","seed":"7","fingerprint":"10251245379809406223","ok":true,"area_cells":78,"cost":78,"fti":0.6410256410256411,"makespan_s":24,"transport_makespan_s":26.923076923076923,"routed":true,"rounds":0,"selected_round":0,"placement":"placement 24 24\nplace 0 6 0 0  # M1\nplace 1 0 0 0  # M2\nplace 2 0 0 0  # M3\nplace 3 3 0 0  # M4\nplace 4 0 0 0  # M5\nplace 5 3 0 0  # M6\nplace 6 0 0 0  # M7\nplace 7 7 0 0  # S(M1)\nplace 8 10 0 0  # S(M3)\nplace 9 0 0 0  # S(M5)\nend\n","recovery_faults":1,"recovery_cycles":1,"recovery_recovered":true,"recovery_completed":true,"recovery_time_lost_s":5})json",
+  };
+  PipelineOptions options = summary_options();
+  for (int faulty = 0; faulty < 2; ++faulty) {
+    SCOPED_TRACE(faulty ? "with a fault plan" : "without a fault plan");
+    if (faulty) {
+      const PipelineResult clean =
+          SynthesisPipeline(options).run(pcr_mixing_assay());
+      const Rect fp = clean.placement.placement.module(0).footprint();
+      const ScheduledModule& sm = clean.schedule.module(0);
+      options.fault_plan.faults.push_back(
+          PlannedFault{Point{fp.x + fp.width / 2, fp.y + fp.height / 2},
+                       0.5 * (sm.start_s + sm.end_s), -1});
+    }
+    CompileResponse response;
+    response.id = "golden";
+    response.ok = true;
+    response.source = CompileSource::kMiss;
+    response.result = std::make_shared<const PipelineResult>(
+        SynthesisPipeline(options).run(pcr_mixing_assay()));
+    response.wall_seconds = 0.5;
+    EXPECT_EQ(CompileServer::render_response(response), golden[2 * faulty]);
+    const BatchItem item{"item", pcr_mixing_assay(), options};
+    EXPECT_EQ(render_result_line(item, 3, *response.result),
+              golden[2 * faulty + 1]);
+  }
+}
+
+TEST(ServerTest, LoadedResultRendersLikeTheLiveOne) {
+  // A cache file keeps no schedule, so a summary read off the schedule
+  // reported makespan_s 0 for every result served from a loaded cache.
+  const std::string path = testing::TempDir() + "dmfb_cache_render.txt";
+  const AssayCase assay = pcr_mixing_assay();
+  const PipelineOptions options = summary_options();
+  CompileResponse live;
+  live.id = "loaded";
+  live.ok = true;
+  live.result = std::make_shared<const PipelineResult>(
+      SynthesisPipeline(options).run(assay));
+  const std::uint64_t signature = schedule_signature(live.result->schedule);
+  CompileCache cache;
+  cache.store(assay_fingerprint(assay), options_fingerprint(options),
+              signature, live.result, /*links=*/{});
+  ASSERT_TRUE(cache.save(path));
+  CompileCache loaded;
+  ASSERT_EQ(loaded.load(path), 1u);
+  std::remove(path.c_str());
+
+  CompileResponse served = live;
+  served.result = loaded
+                      .lookup(assay_fingerprint(assay),
+                              options_fingerprint(options), signature)
+                      .exact;
+  ASSERT_NE(served.result, nullptr);
+  EXPECT_TRUE(served.result->schedule.modules().empty());
+  const std::string live_line = CompileServer::render_response(live);
+  const std::string served_line = CompileServer::render_response(served);
+  EXPECT_GT(json::Value::parse(live_line)
+                .find("result")
+                ->find("makespan_s")
+                ->as_number(),
+            0.0);
+  EXPECT_EQ(served_line, live_line);
 }
 
 // --- cache persistence ------------------------------------------------
