@@ -170,8 +170,10 @@ bool run_comparison(bool smoke) {
     for (const bool record : {true, false}) {
       SimOptions options;
       options.record_events = record;
-      event_result = Simulator(options).run(scenario.graph, scenario.schedule,
-                                            scenario.placement, chip);
+      event_result = EventSimEngine(options)
+                         .run(scenario.graph, scenario.schedule,
+                              scenario.placement, chip)
+                         .result;
       const auto reference_result = oracle::run_reference(
           scenario.graph, scenario.schedule, scenario.placement, chip,
           options);

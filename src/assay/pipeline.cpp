@@ -312,8 +312,7 @@ PipelineResult SynthesisPipeline::run_bound(const SequencingGraph& graph,
   const int chip_width = best.chip_width;
   const int chip_height = best.chip_height;
 
-  // Simulate: droplet-level execution on a virtual chip. The event
-  // engine is driven directly (not through the Simulator adapter) so its
+  // Simulate: droplet-level execution on a virtual chip. The engine's
   // telemetry and stall diagnosis reach the stage observer.
   if (options_.simulate && !options_.fault_plan.faults.empty()) {
     // Online fault recovery: drive the event engine through the
@@ -385,9 +384,7 @@ std::vector<PipelineResult> SynthesisPipeline::run_indexed(
 
   const auto errors = detail::for_each_index(
       count, options_.threads,
-      [&](std::size_t index, std::size_t) {
-        results[index] = one(index, seeds[index]);
-      });
+      [&](std::size_t index) { results[index] = one(index, seeds[index]); });
   // Batch error semantics: a failed item marks its own entry instead of
   // rethrowing and discarding the other items' finished work.
   for (std::size_t index = 0; index < count; ++index) {

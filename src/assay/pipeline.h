@@ -165,10 +165,8 @@ struct PipelineOptions {
   /// Registry name of the routing backend ("prioritized", "negotiated",
   /// "restart", or any custom registration — sim/router_backend.h).
   std::string router = "prioritized";
-  /// `routing.seed` is overridden by `seed`; `routing.threads` fans the
-  /// independent per-changeover solves across a thread pool (identical
-  /// plans for any thread count — leave at 1 when `run_many` already
-  /// saturates the machine with per-item workers).
+  /// `routing.seed` is overridden by `seed`. Routing runs on the calling
+  /// thread; `run_many` parallelises across items.
   RoutePlannerOptions routing;
   /// Chip dimensions for routing/simulation; 0 = the placement canvas.
   int chip_width = 0;

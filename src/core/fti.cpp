@@ -71,10 +71,10 @@ std::uint64_t word_mask(int k, int lo, int hi) {
 
 /// Count and bounding box (absolute coordinates) of the valid anchors
 /// of a w-by-h footprint over bitboard `occupied` (`words` words per
-/// domain row) inside the absolute clamp rectangle, clipped to the
-/// anchor area. Each anchor row ORs the footprint's h bitboard rows and
-/// dilates them across w columns by shift-OR, so a clear bit x marks a
-/// free footprint at x. The scan stops early once the anchors provably
+/// domain row) inside the absolute clamp rectangle, which lies in the
+/// domain's anchor area. Each anchor row ORs the footprint's h bitboard
+/// rows and dilates them across w columns by shift-OR, so a clear bit x
+/// marks a free footprint at x. The scan stops early once the anchors provably
 /// spread wider than one footprint (bbox wider than w or taller than
 /// h): that alone makes the orientation block nothing, and the caller
 /// never needs the exact count (`spread` set, count/bbox partial).
@@ -90,11 +90,11 @@ AnchorStats scan_anchors(const std::vector<std::uint64_t>& occupied,
                          std::vector<std::uint64_t>& row) {
   AnchorStats stats;
   if (clamp.empty()) return stats;
-  Rect local{clamp.x - domain.x, clamp.y - domain.y, clamp.width,
-             clamp.height};
-  local = local.intersection(
-      Rect{0, 0, domain.width - w + 1, domain.height - h + 1});
-  if (local.empty()) return stats;
+  // The clamp already lies in the domain's anchor area: update()
+  // rebuilds whenever a non-empty region leaves the domain, so the
+  // region, and with it every anchor of a footprint inside it, is in it.
+  const Rect local{clamp.x - domain.x, clamp.y - domain.y, clamp.width,
+                   clamp.height};
   // Only the words holding clamp anchors or the footprint cells to
   // their right take part: `span` words from `first_word`, the first
   // half of `row` the anchor row being derived, the second its clamp

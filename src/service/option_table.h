@@ -42,7 +42,7 @@ inline constexpr Range kCount{0, kInf, false};
 
 /// Largest canvas or chip side on the wire. The paper's arrays are tens
 /// of electrodes a side and no wire caller in this repository asks for
-/// more than 32. A routing worker's search states can grow to
+/// more than 32. A routing search's states can grow to
 /// (4 (W + H) + 1) W H entries of 16 bytes, 269 MB at 128; the bound
 /// keeps each request's memory small, not just allocatable.
 inline constexpr int kMaxSide = 128;
@@ -156,8 +156,7 @@ void for_each_option(std::type_identity<PipelineOptions>, Visit&& visit) {
   visit(Off<kWarmStart>{}, at<c, &C::route_links>,
         at<c, &C::initial_placement>);
   visit(Off<kOverridden>{}, at<c, &C::seed>);
-  // Routing: the master seed overrides its seed, and the plan is the same
-  // for any thread count (pinned by test_parallel_routing).
+  // Routing: the master seed overrides its seed.
   using P = RoutePlannerOptions;
   constexpr auto rt = &O::routing;
   visit(Off<kIdentity>{}, at<rt, &P::step_horizon>,
@@ -165,7 +164,6 @@ void for_each_option(std::type_identity<PipelineOptions>, Visit&& visit) {
         at<rt, &P::present_congestion_weight>,
         at<rt, &P::history_congestion_weight>, at<rt, &P::max_restarts>);
   visit(Off<kOverridden>{}, at<rt, &P::seed>);
-  visit(Off<kExecution>{}, at<rt, &P::threads>);
   // Simulation and recovery. The pipeline overrides recovery.sim with
   // `simulation` and the replace rung's context with placer_context;
   // recovery.deadline_s (above) is a host-wall budget.

@@ -18,8 +18,8 @@ OnlineRecoveryResult simulate_online_recovery(
   Chip chip(array.right(), array.top());
   inject_fault(chip, faulty_cell);
 
-  const Simulator simulator(sim_options);
-  result.first_run = simulator.run(graph, schedule, placement, chip);
+  result.first_run =
+      EventSimEngine(sim_options).run(graph, schedule, placement, chip).result;
 
   if (result.first_run.success) {
     // The fault never disturbed the assay (unused cell, or only routed
@@ -41,8 +41,10 @@ OnlineRecoveryResult simulate_online_recovery(
   }
   result.recovered = true;
 
-  result.second_run =
-      simulator.run(graph, schedule, result.reconfiguration.placement, chip);
+  result.second_run = EventSimEngine(sim_options)
+                          .run(graph, schedule,
+                               result.reconfiguration.placement, chip)
+                          .result;
   result.completed = result.second_run.success;
   result.detail = result.completed
                       ? "assay completed after partial reconfiguration"

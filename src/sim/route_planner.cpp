@@ -1,14 +1,12 @@
 #include "sim/route_planner.h"
 
 #include <algorithm>
-#include <exception>
 #include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
 
 #include "biochip/module_spec.h"
-#include "util/parallel.h"
 
 namespace dmfb {
 namespace {
@@ -563,49 +561,19 @@ void accumulate(RoutePlan& plan, ChangeoverPlan&& changeover) {
 }
 
 RoutePlan solve_changeovers(const std::vector<ChangeoverProblem>& problems,
-                            int threads, const ChangeoverSolver& solve) {
-  const std::size_t count = problems.size();
-  std::vector<std::optional<ChangeoverPlan>> solved(count);
-  std::vector<std::string> failures(count);
-  std::vector<std::exception_ptr> errors(count);
-
-  const std::size_t workers = detail::resolve_worker_count(count, threads);
-  std::vector<SearchScratch> scratch(std::max<std::size_t>(workers, 1));
-  if (workers <= 1) {
-    // Inline: fail fast like the pre-pool loops did — changeovers after
-    // the first unroutable one are never attempted, and an exception
-    // propagates from exactly where it was thrown.
-    for (std::size_t index = 0; index < count; ++index) {
-      solved[index] =
-          solve(problems[index], index, scratch[0], &failures[index]);
-      if (!solved[index]) break;
-    }
-  } else {
-    // Workers solve everything: skipping work after a failure would make
-    // which changeovers got solved (and so the reported failure) depend
-    // on worker scheduling, breaking the thread-count invariance this
-    // function promises. Failing assays trade some wasted solves for it.
-    errors = detail::for_each_index(
-        count, threads, [&](std::size_t index, std::size_t worker) {
-          solved[index] = solve(problems[index], index, scratch[worker],
-                                &failures[index]);
-        });
-  }
-
-  // Fold in changeover (time) order, so totals, the reported failure and
-  // even exception behavior do not depend on worker scheduling: an error
-  // or routing failure surfaces exactly where the fail-fast sequential
-  // walk would have hit it, and anything solved past that point is
-  // discarded.
+                            const ChangeoverSolver& solve) {
   RoutePlan plan;
-  for (std::size_t c = 0; c < count; ++c) {
-    if (errors[c]) std::rethrow_exception(errors[c]);
-    if (!solved[c]) {
-      plan.success = false;
-      plan.failure_reason = failures[c];
+  SearchScratch scratch;
+  for (std::size_t index = 0; index < problems.size(); ++index) {
+    // Per changeover: a solver may report a failed attempt and still
+    // succeed ("restart" tries several orderings).
+    std::string failure;
+    auto solved = solve(problems[index], index, scratch, &failure);
+    if (!solved) {
+      plan.failure_reason = std::move(failure);
       return plan;
     }
-    accumulate(plan, std::move(*solved[c]));
+    accumulate(plan, std::move(*solved));
   }
   plan.success = true;
   return plan;
@@ -619,7 +587,6 @@ RoutePlan plan_prioritized(const SequencingGraph& graph,
   const int horizon = resolve_horizon(options, chip_width, chip_height);
   return solve_changeovers(
       extract_problems(graph, schedule, placement, chip_width, chip_height),
-      options.threads,
       [&](const ChangeoverProblem& problem, std::size_t,
           SearchScratch& scratch, std::string* failure) {
         return solve_prioritized(problem, default_order(problem.requests),

@@ -1,7 +1,7 @@
 // route_planner.h — concurrent droplet routing at configuration
 // changeovers, with fluidic constraints.
 //
-// The simulator (simulator.h) routes droplets one at a time and ignores
+// The simulator (sim_engine.h) routes droplets one at a time and ignores
 // droplet-droplet interactions; the planners here produce a *checkable
 // actuation-ready* plan: at every changeover instant all pending droplet
 // transfers are routed simultaneously on a space-time grid under the
@@ -168,13 +168,6 @@ struct RoutePlannerOptions {
   /// Seed for the ordering shuffles; the pipeline overrides this with the
   /// run seed so one number reproduces the whole flow.
   std::uint64_t seed = 0xDA7E2005ULL;
-
-  /// Worker threads for per-changeover routing (all backends). Changeovers
-  /// are independent once extracted and stochastic backends derive a
-  /// per-changeover seed from `seed`, so the resulting plan is identical
-  /// for any thread count (test_parallel_routing.cpp pins 1 vs 4).
-  /// 1 = solve in the calling thread, 0 = hardware concurrency.
-  int threads = 1;
 };
 
 /// Validates a changeover plan against the fluidic constraints; returns
@@ -318,13 +311,12 @@ class ReservationTable {
   std::vector<TimedRoute> held_;      ///< positions counted, by slot
 };
 
-/// Every per-state buffer one routing worker reuses across searches and
-/// changeovers. `solve_changeovers` gives each worker one scratch for the
-/// whole plan, so no search or changeover allocates or clears state
-/// arrays of its own. Buffers only grow, a step plane (W*H states) at a
-/// time as deeper steps are reached: memory past the deepest step used
-/// is never touched, and no buffer is sized for the whole horizon up
-/// front.
+/// Every per-state buffer routing reuses across searches and changeovers.
+/// `solve_changeovers` keeps one scratch for the whole plan, so no search
+/// or changeover allocates or clears state arrays of its own. Buffers
+/// only grow, a step plane (W*H states) at a time as deeper steps are
+/// reached: memory past the deepest step used is never touched, and no
+/// buffer is sized for the whole horizon up front.
 struct SearchScratch {
   /// A* state of one (cell, step): best cost, parent cell and stamp. A
   /// state whose stamp differs from `generation` is unvisited (+infinity),
@@ -397,26 +389,31 @@ std::optional<ChangeoverPlan> solve_prioritized(
     const RoutePlannerOptions& options, int horizon, SearchScratch& scratch,
     std::string* failure);
 
+/// The "negotiated" backend's changeover solver: Pathfinder-style
+/// rip-up-and-reroute under escalating present and history congestion
+/// cost, falling back to `solve_prioritized` in `default_order` when the
+/// negotiation does not converge (then `negotiation_rounds` reads the
+/// full budget). The congestion history starts from zero on every call,
+/// so the result does not depend on what `scratch` held before. Defined
+/// with the backend in sim/router_backend.cpp.
+std::optional<ChangeoverPlan> solve_negotiated(
+    const ChangeoverProblem& problem, const RoutePlannerOptions& options,
+    int horizon, SearchScratch& scratch, std::string* failure);
+
 /// One changeover's solver: plan the changeover at `index` in `problems`
-/// with the calling worker's `scratch`, or return nullopt and set
-/// `failure`. Must be thread-safe across changeovers (every built-in
-/// backend's solver is: changeovers share no mutable state besides their
-/// worker's scratch, and seeded backends split a per-changeover stream
-/// from the run seed by index).
+/// with the plan's `scratch`, or return nullopt and set `failure`. Seeded
+/// backends split a per-changeover stream from the run seed by `index`,
+/// so a changeover's plan does not depend on how the ones before it went.
 using ChangeoverSolver = std::function<std::optional<ChangeoverPlan>(
     const ChangeoverProblem& /*problem*/, std::size_t /*index*/,
     SearchScratch& /*scratch*/, std::string* /*failure*/)>;
 
-/// Solves every changeover with `solve` across `threads` workers (1 =
-/// inline in the calling thread, 0 = hardware concurrency) and folds the
-/// results into a RoutePlan in changeover order. Each worker owns one
-/// SearchScratch for the whole plan. Because the solver is index-seeded,
-/// changeovers are independent and a search's result does not depend on
-/// what its scratch held before, the returned plan is identical for any
-/// thread count; on failure the first unroutable changeover (in time
-/// order) supplies `failure_reason`.
+/// Solves the changeovers with `solve` in time order on the calling
+/// thread, sharing one SearchScratch across the plan, and folds them into
+/// a RoutePlan. Fails fast: the first unroutable changeover supplies
+/// `failure_reason` and the ones after it are never attempted.
 RoutePlan solve_changeovers(const std::vector<ChangeoverProblem>& problems,
-                            int threads, const ChangeoverSolver& solve);
+                            const ChangeoverSolver& solve);
 
 /// Folds a solved changeover into `plan` (routes + step/cell totals).
 void accumulate(RoutePlan& plan, ChangeoverPlan&& changeover);

@@ -125,6 +125,75 @@ std::vector<std::size_t> conflicted_routes(
   return result;
 }
 
+ChangeoverPlan finish(double time_s, std::vector<TimedRoute> routes,
+                      int negotiation_rounds) {
+  ChangeoverPlan changeover;
+  changeover.time_s = time_s;
+  changeover.negotiation_rounds = negotiation_rounds;
+  for (const auto& route : routes) {
+    changeover.makespan_steps =
+        std::max(changeover.makespan_steps, route.arrival_step());
+  }
+  changeover.routes = std::move(routes);
+  return changeover;
+}
+
+/// Negotiates one changeover to a conflict-free plan, or nullopt when a
+/// transfer is unroutable or the rounds run out with conflicts left.
+std::optional<ChangeoverPlan> negotiate(const ChangeoverProblem& problem,
+                                        const RoutePlannerOptions& options,
+                                        int horizon, SearchScratch& scratch) {
+  const int width = problem.blocked.width();
+  const int height = problem.blocked.height();
+  const int separation = options.separation_cells;
+  // A zero history grid: undo the last changeover's bumps. It grows as
+  // conflicts are bumped, and is never empty, so the kernel always adds
+  // the history term (states past its end read as zero).
+  std::vector<double>& history = scratch.history;
+  for (const std::size_t cell : scratch.history_cells) history[cell] = 0.0;
+  scratch.history_cells.clear();
+  if (history.empty()) history.resize(1, 0.0);
+
+  // Initial pass: route each transfer congestion-aware against the
+  // routes placed so far (soft — sharing is allowed, just priced).
+  std::vector<TimedRoute> routes(problem.requests.size());
+  for (const std::size_t r : routing::default_order(problem.requests)) {
+    TransferRequest request = problem.requests[r];
+    auto soft = route_resolved(
+        request, problem.blocked, routes, r, horizon, separation,
+        options.present_congestion_weight, history,
+        options.history_congestion_weight, scratch);
+    if (!soft) return std::nullopt;  // physically unroutable
+    routes[r].request = request;
+    routes[r].positions = std::move(soft->positions);
+  }
+
+  // Negotiation rounds: rip up every conflicted route and reroute it at
+  // an escalating present-congestion cost.
+  for (int round = 1; round <= options.negotiation_rounds; ++round) {
+    const auto conflicted = conflicted_routes(routes, separation, horizon,
+                                              width, height, &scratch);
+    // round - 1 rip-up rounds were spent getting here.
+    if (conflicted.empty()) return finish(problem.time_s, routes, round - 1);
+    const double present =
+        options.present_congestion_weight * static_cast<double>(round);
+    for (const std::size_t r : conflicted) {
+      TransferRequest request = problem.requests[r];
+      auto soft = route_resolved(
+          request, problem.blocked, routes, r, horizon, separation, present,
+          history, options.history_congestion_weight, scratch);
+      if (!soft) return std::nullopt;
+      routes[r].request = request;
+      routes[r].positions = std::move(soft->positions);
+    }
+  }
+  if (conflicted_routes(routes, separation, horizon, width, height, nullptr)
+          .empty()) {
+    return finish(problem.time_s, routes, options.negotiation_rounds);
+  }
+  return std::nullopt;  // failed to converge
+}
+
 class NegotiatedRouter final : public Router {
  public:
   std::string name() const override { return "negotiated"; }
@@ -134,100 +203,14 @@ class NegotiatedRouter final : public Router {
                  const RoutePlannerOptions& options) const override {
     const int horizon =
         routing::resolve_horizon(options, chip_width, chip_height);
-    const auto problems = routing::extract_problems(
-        graph, schedule, placement, chip_width, chip_height);
-
-    // Changeovers negotiate independently (each on its worker's scratch,
-    // whose history grid is reset per changeover), so they fan out across
-    // the routing thread pool.
     return routing::solve_changeovers(
-        problems, options.threads,
+        routing::extract_problems(graph, schedule, placement, chip_width,
+                                  chip_height),
         [&](const ChangeoverProblem& problem, std::size_t,
             SearchScratch& scratch, std::string* failure) {
-          auto changeover = negotiate(problem, options, horizon, scratch);
-          if (!changeover) {
-            // A changeover the negotiation cannot converge on may still
-            // yield to decoupled planning, so "negotiated" never does
-            // worse than "prioritized".
-            changeover = routing::solve_prioritized(
-                problem, routing::default_order(problem.requests), options,
-                horizon, scratch, failure);
-            // The failed negotiation still burned its full round budget.
-            if (changeover) {
-              changeover->negotiation_rounds = options.negotiation_rounds;
-            }
-          }
-          return changeover;
+          return routing::solve_negotiated(problem, options, horizon, scratch,
+                                           failure);
         });
-  }
-
- private:
-  std::optional<ChangeoverPlan> negotiate(const ChangeoverProblem& problem,
-                                          const RoutePlannerOptions& options,
-                                          int horizon,
-                                          SearchScratch& scratch) const {
-    const int width = problem.blocked.width();
-    const int height = problem.blocked.height();
-    const int separation = options.separation_cells;
-    // A zero history grid: undo the last changeover's bumps. It grows as
-    // conflicts are bumped, and is never empty, so the kernel always adds
-    // the history term (states past its end read as zero).
-    std::vector<double>& history = scratch.history;
-    for (const std::size_t cell : scratch.history_cells) history[cell] = 0.0;
-    scratch.history_cells.clear();
-    if (history.empty()) history.resize(1, 0.0);
-
-    // Initial pass: route each transfer congestion-aware against the
-    // routes placed so far (soft — sharing is allowed, just priced).
-    std::vector<TimedRoute> routes(problem.requests.size());
-    for (const std::size_t r : routing::default_order(problem.requests)) {
-      TransferRequest request = problem.requests[r];
-      auto soft = route_resolved(
-          request, problem.blocked, routes, r, horizon, separation,
-          options.present_congestion_weight, history,
-          options.history_congestion_weight, scratch);
-      if (!soft) return std::nullopt;  // physically unroutable
-      routes[r].request = request;
-      routes[r].positions = std::move(soft->positions);
-    }
-
-    // Negotiation rounds: rip up every conflicted route and reroute it at
-    // an escalating present-congestion cost.
-    for (int round = 1; round <= options.negotiation_rounds; ++round) {
-      const auto conflicted = conflicted_routes(routes, separation, horizon,
-                                                width, height, &scratch);
-      // round - 1 rip-up rounds were spent getting here.
-      if (conflicted.empty()) return finish(problem.time_s, routes, round - 1);
-      const double present =
-          options.present_congestion_weight * static_cast<double>(round);
-      for (const std::size_t r : conflicted) {
-        TransferRequest request = problem.requests[r];
-        auto soft = route_resolved(
-            request, problem.blocked, routes, r, horizon, separation, present,
-            history, options.history_congestion_weight, scratch);
-        if (!soft) return std::nullopt;
-        routes[r].request = request;
-        routes[r].positions = std::move(soft->positions);
-      }
-    }
-    if (conflicted_routes(routes, separation, horizon, width, height, nullptr)
-            .empty()) {
-      return finish(problem.time_s, routes, options.negotiation_rounds);
-    }
-    return std::nullopt;  // failed to converge
-  }
-
-  static ChangeoverPlan finish(double time_s, std::vector<TimedRoute> routes,
-                               int negotiation_rounds) {
-    ChangeoverPlan changeover;
-    changeover.time_s = time_s;
-    changeover.negotiation_rounds = negotiation_rounds;
-    for (const auto& route : routes) {
-      changeover.makespan_steps =
-          std::max(changeover.makespan_steps, route.arrival_step());
-    }
-    changeover.routes = std::move(routes);
-    return changeover;
   }
 };
 
@@ -245,13 +228,12 @@ class RestartRouter final : public Router {
     return routing::solve_changeovers(
         routing::extract_problems(graph, schedule, placement, chip_width,
                                   chip_height),
-        options.threads,
         [&](const ChangeoverProblem& problem, std::size_t c,
             SearchScratch& scratch,
             std::string* failure) -> std::optional<ChangeoverPlan> {
           // Per-changeover stream split from the one seed, so a
-          // changeover's orderings depend on neither how many came before
-          // it succeeded nor which worker picked it up.
+          // changeover's orderings do not depend on how the ones before
+          // it went.
           Rng rng(SplitMix64(options.seed ^ (0x9e3779b97f4a7c15ULL * (c + 1)))
                       .next());
 
@@ -299,6 +281,22 @@ class RestartRouter final : public Router {
 };
 
 }  // namespace
+
+std::optional<ChangeoverPlan> routing::solve_negotiated(
+    const ChangeoverProblem& problem, const RoutePlannerOptions& options,
+    int horizon, SearchScratch& scratch, std::string* failure) {
+  auto changeover = negotiate(problem, options, horizon, scratch);
+  if (!changeover) {
+    // A changeover the negotiation cannot converge on may still yield to
+    // decoupled planning, so "negotiated" never does worse than
+    // "prioritized".
+    changeover = solve_prioritized(problem, default_order(problem.requests),
+                                   options, horizon, scratch, failure);
+    // The failed negotiation still burned its full round budget.
+    if (changeover) changeover->negotiation_rounds = options.negotiation_rounds;
+  }
+  return changeover;
+}
 
 RouterRegistry::RouterRegistry() {
   register_router("negotiated",

@@ -95,10 +95,6 @@ bool fires_later(const QueuedEvent& a, const QueuedEvent& b) {
 
 EventSimEngine::EventSimEngine(SimOptions options) : options_(options) {}
 
-void EventSimEngine::set_observer(SimEngineObserver observer) {
-  observer_ = std::move(observer);
-}
-
 SimEngineRun EventSimEngine::run(const SequencingGraph& graph,
                                  const Schedule& schedule,
                                  const Placement& placement,
@@ -115,13 +111,14 @@ SimEngineRun EventSimEngine::run_online(const SequencingGraph& graph,
                                         SimCheckpoint* checkpoint_out) {
   if (schedule.module_count() != placement.module_count()) {
     throw std::invalid_argument(
-        "Simulator::run: schedule and placement disagree on module count");
+        "EventSimEngine::run: schedule and placement disagree on module "
+        "count");
   }
   const Rect region{0, 0, chip.width(), chip.height()};
   const Rect bbox = placement.bounding_box();
   if (!region.contains(bbox)) {
     throw std::invalid_argument(
-        "Simulator::run: chip smaller than the placement bounding box");
+        "EventSimEngine::run: chip smaller than the placement bounding box");
   }
   for (const PlannedFault& fault : plan.faults) {
     if (!region.contains(Rect{fault.cell.x, fault.cell.y, 1, 1})) {
@@ -245,7 +242,6 @@ SimEngineRun EventSimEngine::run_online(const SequencingGraph& graph,
   auto clear_rect = [&](const Rect& r) {
     blocked_.fill_rect(r, 0);
     const Rect clipped = r.intersection(region);
-    telemetry.blocked_cells_touched += clipped.area();
     const Rect overlap = clipped.intersection(fault_bbox_);
     for (int y = overlap.y; y < overlap.top(); ++y) {
       for (int x = overlap.x; x < overlap.right(); ++x) {
@@ -257,7 +253,6 @@ SimEngineRun EventSimEngine::run_online(const SequencingGraph& graph,
     for (int idx : pending_fills_) {
       const Rect& r = func_rects_[static_cast<std::size_t>(idx)];
       blocked_.fill_rect(r, 1);
-      telemetry.blocked_cells_touched += r.intersection(region).area();
       filled_.push_back(idx);
       filled_rects_.push_back(r);
     }
@@ -682,9 +677,8 @@ SimEngineRun EventSimEngine::run_online(const SequencingGraph& graph,
 
   // ---- seed the event queue ----
   // Start events replay the reference's (start_s, schedule index)
-  // processing order through their `seq` rank; end events wake the
-  // observer at teardowns (they carry no simulation state — the
-  // active-module predicate is evaluated against the clock).
+  // processing order through their `seq` rank; end events clear their
+  // module's rect from the blocked grid at teardown.
   std::vector<int> order(static_cast<std::size_t>(module_count));
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
   std::sort(order.begin(), order.end(), [&](int a, int b) {
@@ -739,7 +733,6 @@ SimEngineRun EventSimEngine::run_online(const SequencingGraph& graph,
         if (sm.start_s < now - kEps) {
           const Rect& r = func_rects_[static_cast<std::size_t>(i)];
           blocked_.fill_rect(r, 1);
-          telemetry.blocked_cells_touched += r.intersection(region).area();
           filled_.push_back(i);
           filled_rects_.push_back(r);
         } else {
@@ -763,10 +756,6 @@ SimEngineRun EventSimEngine::run_online(const SequencingGraph& graph,
     }
   }
   std::make_heap(queue.begin(), queue.end(), fires_later);
-
-  auto notify = [&](SimUpdate::Kind kind, double t, int module, bool ok) {
-    if (observer_) observer_(SimUpdate{kind, t, module, ok});
-  };
 
   // ---- failure-instant snapshot (nullable) ----
   auto capture = [&](double t) {
@@ -894,12 +883,10 @@ SimEngineRun EventSimEngine::run_online(const SequencingGraph& graph,
                           : ev.time_s);
       if (apply_fault(planned, t_eff)) {
         capture(t_eff);
-        notify(SimUpdate::Kind::kFault, t_eff, result.failed_module, false);
         return out;
       }
     }
     ++telemetry.events_dispatched;
-    ScopedCostTimer timer(telemetry.event_cost);
     if (ev.time_s > now) {
       // The clock advanced past the instant the pending modules started
       // at; from here on they block transport.
@@ -921,14 +908,10 @@ SimEngineRun EventSimEngine::run_online(const SequencingGraph& graph,
         }
       }
       end_done[static_cast<std::size_t>(ev.module)] = 1;
-      notify(SimUpdate::Kind::kModuleEnd, ev.time_s, ev.module, true);
       continue;
     }
     if (!process_module_start(ev.module)) {
       capture(ev.time_s);
-      notify(out.stall.stalled ? SimUpdate::Kind::kStall
-                               : SimUpdate::Kind::kModuleStart,
-             ev.time_s, ev.module, false);
       return out;
     }
     start_done[static_cast<std::size_t>(ev.module)] = 1;
@@ -936,7 +919,6 @@ SimEngineRun EventSimEngine::run_online(const SequencingGraph& graph,
     if (options_.verify_routing && started.end_s > started.start_s) {
       pending_fills_.push_back(ev.module);
     }
-    notify(SimUpdate::Kind::kModuleStart, ev.time_s, ev.module, true);
   }
 
   // Every stamped module was torn down by its end event, so the grid is

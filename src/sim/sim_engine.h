@@ -36,12 +36,10 @@
 // reference cannot: a StallReport naming the wait chain behind a routing
 // failure (which running modules wall the droplet off, and when the
 // earliest of them would clear) instead of just "cannot reach", plus
-// per-phase CostStatistic telemetry (the Scheduler/UpdateResult
-// notification split: callers observe every dispatched event).
+// routing telemetry (per-call CostStatistic and search counters).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -53,23 +51,6 @@
 #include "util/matrix.h"
 
 namespace dmfb {
-
-/// What the queue just dispatched — the engine's UpdateResult. Observers
-/// (set_observer) receive one per event, in dispatch order.
-struct SimUpdate {
-  enum class Kind {
-    kModuleStart,  ///< a module's inputs arrived and its operation ran
-    kModuleEnd,    ///< a module's interval ended (teardown)
-    kStall,        ///< a droplet could not be routed; the run fails here
-    kFault,        ///< an injected fault was detected under a live module
-  };
-  Kind kind = Kind::kModuleStart;
-  double time_s = 0.0;
-  int module = -1;  ///< index into schedule.modules()
-  bool ok = true;   ///< false: this event failed the run
-};
-
-using SimEngineObserver = std::function<void(const SimUpdate&)>;
 
 /// Diagnosis of a routing stall: the wait chain the reference simulator's
 /// bare "cannot reach" hides. Populated on the events the engine fails —
@@ -100,22 +81,16 @@ struct StallReport {
   std::string chain;
 };
 
-/// Where the engine's wall time goes, phase by phase (CostStatistic
-/// min/avg/max per invocation), plus structural counters showing the
-/// pooled state at work.
+/// Where the engine's routing time goes (CostStatistic min/avg/max per
+/// call), plus structural counters showing the pooled state at work.
 struct SimEngineTelemetry {
   CostStatistic route_cost;  ///< per routing call (A* + grid upkeep)
-  CostStatistic event_cost;  ///< per dispatched module event
-  long long events_dispatched = 0;
+  long long events_dispatched = 0;  ///< module start and end events
   long long routes_planned = 0;
   /// Heap pushes across all A* runs — the search effort actually spent.
   long long astar_pushes = 0;
   /// Routes priced by the obstacle-free Manhattan fast path (no search).
   long long manhattan_fast_paths = 0;
-  /// Cells touched maintaining the blocked grid (event-driven stamping
-  /// and dirty-rect clearing); the reference rebuilds W*H cells per
-  /// routing call.
-  long long blocked_cells_touched = 0;
   /// Routing calls that found the blocked grid untouched since the
   /// previous routing call (no start/end event moved a module between
   /// them).
@@ -184,12 +159,11 @@ class EventSimEngine {
 
   const SimOptions& options() const { return options_; }
 
-  /// Per-event notification (the Scheduler/UpdateResult split); null to
-  /// disable. Invoked after each event's effects are applied.
-  void set_observer(SimEngineObserver observer);
-
-  /// Executes the assay. Same contract as Simulator::run (including the
-  /// std::invalid_argument validation), with diagnostics on the side.
+  /// Runs `graph`'s operations per `schedule` at the locations in
+  /// `placement` on `chip`, with diagnostics on the side. Throws
+  /// std::invalid_argument when schedule and placement disagree on the
+  /// module count or the chip is smaller than the placement's bounding
+  /// box.
   SimEngineRun run(const SequencingGraph& graph, const Schedule& schedule,
                    const Placement& placement, const Chip& chip);
 
@@ -225,7 +199,6 @@ class EventSimEngine {
   friend struct EngineRunState;
 
   SimOptions options_;
-  SimEngineObserver observer_;
 
   // Persistent scratch, recycled across runs.
   Matrix<std::uint8_t> blocked_;     ///< module rects + faults

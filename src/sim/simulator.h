@@ -1,4 +1,9 @@
-// simulator.h — droplet-level execution of a synthesized, placed assay.
+// simulator.h — the types of droplet-level execution of a synthesized,
+// placed assay: SimOptions in, SimulationResult out. EventSimEngine
+// (sim/sim_engine.h) runs it:
+//
+//   SimulationResult r =
+//       EventSimEngine(options).run(graph, schedule, placement, chip).result;
 //
 // This substrate substitutes for the fabricated chips the paper's group
 // used: it executes the schedule on the placement, dispensing droplets at
@@ -12,18 +17,18 @@
 // droplet; segregation rings are passable, since per §6 of the paper the
 // ring "provides a communication path for droplet movement".
 //
-// Simplifications (documented in DESIGN.md): transport happens at slice
-// boundaries and is not added to the schedule's makespan (the paper's
-// schedule also excludes routing time); droplet-droplet collision is
+// Simplifications: transport happens at slice boundaries and is not
+// added to the schedule's makespan (the paper's schedule also excludes
+// routing time); droplet-droplet collision is
 // avoided structurally by routing one droplet at a time against the
 // module occupancy. Those slice boundaries are exactly the changeover
 // events the engine's queue dispatches: droplets and modules sleep until
 // a module-start event pulls their inputs across the array, so nothing is
 // stepped between boundaries.
 //
-// The engine is EventSimEngine (sim/sim_engine.h): pooled per-step state,
-// O(dirty) blocked-grid maintenance and stall diagnostics. The original
-// straight-line implementation survives as a test oracle
+// The engine keeps pooled per-step state, maintains the blocked grid in
+// O(dirty) and diagnoses stalls. The original straight-line
+// implementation survives as a test oracle
 // (tests/oracles/reference_simulator.h) that the engine is audited
 // against, the same way the copying annealer pins the delta engine.
 #pragma once
@@ -79,24 +84,6 @@ struct SimulationResult {
   int routes_planned = 0;
   long long route_cells = 0;
   double transport_seconds = 0.0;
-};
-
-/// Executes assays on a chip.
-class Simulator {
- public:
-  explicit Simulator(SimOptions options = {}) : options_(options) {}
-
-  /// Runs `graph`'s operations per `schedule` at the locations in
-  /// `placement` on `chip`. The chip must be at least as large as the
-  /// placement's canvas requirement (bounding box). A one-call entry to
-  /// a fresh EventSimEngine (sim/sim_engine.h); use the engine directly
-  /// for stall diagnostics, per-phase telemetry, or cross-run scratch
-  /// reuse.
-  SimulationResult run(const SequencingGraph& graph, const Schedule& schedule,
-                       const Placement& placement, const Chip& chip) const;
-
- private:
-  SimOptions options_;
 };
 
 }  // namespace dmfb

@@ -1,9 +1,9 @@
-// parallel.h — the shared index-space thread pool behind
-// SynthesisPipeline::run_many and the per-changeover routing fan-out.
+// parallel.h — the index-space thread pool behind
+// SynthesisPipeline::run_many, and the worker-count rule it shares with
+// CompileServer's worker pool.
 //
 // One copy of the subtle parts (hardware-concurrency fallback, atomic
-// work queue, per-index exception capture, join-before-return) so the
-// two call sites cannot drift.
+// work queue, per-index exception capture, join-before-return).
 #pragma once
 
 #include <algorithm>
@@ -24,14 +24,12 @@ inline std::size_t resolve_worker_count(std::size_t count, int threads) {
                                          : hardware));
 }
 
-/// Invokes fn(index, worker) for every index in [0, count) across
+/// Invokes fn(index) for every index in [0, count) across
 /// `resolve_worker_count(count, threads)` workers (a single worker runs
-/// inline in the calling thread); `worker` in [0, worker count) names the
-/// worker making the call, so callers can keep per-worker state. Returns
-/// one exception_ptr per index (null = completed normally); nothing is
-/// rethrown here because callers differ in how errors must surface
-/// (run_many folds them into per-item ok/error status, routing folds them
-/// into its fail-fast walk).
+/// inline in the calling thread). Returns one exception_ptr per index
+/// (null = completed normally); nothing is rethrown here, so the caller
+/// decides how errors surface (run_many folds them into per-item ok/error
+/// status).
 template <typename Fn>
 std::vector<std::exception_ptr> for_each_index(std::size_t count, int threads,
                                                Fn&& fn) {
@@ -40,12 +38,12 @@ std::vector<std::exception_ptr> for_each_index(std::size_t count, int threads,
 
   const std::size_t worker_count = resolve_worker_count(count, threads);
   std::atomic<std::size_t> next{0};
-  const auto worker = [&](std::size_t slot) {
+  const auto worker = [&] {
     for (;;) {
       const std::size_t index = next.fetch_add(1);
       if (index >= count) return;
       try {
-        fn(index, slot);
+        fn(index);
       } catch (...) {
         errors[index] = std::current_exception();
       }
@@ -53,13 +51,11 @@ std::vector<std::exception_ptr> for_each_index(std::size_t count, int threads,
   };
 
   if (worker_count <= 1) {
-    worker(0);
+    worker();
   } else {
     std::vector<std::thread> pool;
     pool.reserve(worker_count);
-    for (std::size_t i = 0; i < worker_count; ++i) {
-      pool.emplace_back(worker, i);
-    }
+    for (std::size_t i = 0; i < worker_count; ++i) pool.emplace_back(worker);
     for (auto& thread : pool) thread.join();
   }
   return errors;

@@ -19,7 +19,7 @@
 
 namespace dmfb::oracle {
 
-/// Executes the assay the way Simulator::run does, and returns the
+/// Executes the assay the way EventSimEngine::run does, and returns the
 /// bit-identical SimulationResult (events, op_outputs, route accounting,
 /// failure reasons). Same std::invalid_argument validation: module counts
 /// must agree and the chip must cover the placement's bounding box.

@@ -12,7 +12,7 @@
 #include "core/sa_placer.h"
 #include "sim/fault.h"
 #include "sim/recovery.h"
-#include "sim/simulator.h"
+#include "sim/sim_engine.h"
 #include "sim/tester.h"
 #include "util/rng.h"
 
@@ -55,9 +55,9 @@ TEST(IntegrationTest, PcrFullFlowMatchesPaperShape) {
 
   // The enhanced placement actually executes.
   const Chip chip(24, 24);
-  const Simulator simulator;
-  const auto run = simulator.run(assay.graph, schedule,
-                                 two.placement, chip);
+  EventSimEngine engine;
+  const auto run =
+      engine.run(assay.graph, schedule, two.placement, chip).result;
   EXPECT_TRUE(run.success) << run.failure_reason;
 }
 
@@ -90,9 +90,9 @@ TEST(IntegrationTest, DetectThenRecoverPipeline) {
   ASSERT_TRUE(recovery.success) << recovery.failure_reason;
 
   // 3. The assay completes on the repaired placement.
-  const Simulator simulator;
+  EventSimEngine engine;
   const auto run =
-      simulator.run(assay.graph, schedule, recovery.placement, chip);
+      engine.run(assay.graph, schedule, recovery.placement, chip).result;
   EXPECT_TRUE(run.success) << run.failure_reason;
 }
 
@@ -107,9 +107,9 @@ TEST(IntegrationTest, MultiplexedDiagnosticsEndToEnd) {
   ASSERT_TRUE(sa.placement.feasible());
 
   const Chip chip(24, 24);
-  const Simulator simulator;
+  EventSimEngine engine;
   const auto run =
-      simulator.run(assay.graph, schedule, sa.placement, chip);
+      engine.run(assay.graph, schedule, sa.placement, chip).result;
   EXPECT_TRUE(run.success) << run.failure_reason;
 
   // Every mix output contains its sample and reagent at 50% each.
@@ -167,9 +167,9 @@ TEST(IntegrationTest, ProteinDilutionFullFlow) {
   const auto sa = make_placer("sa")->place(schedule, fast_sa());
   ASSERT_TRUE(sa.placement.feasible());
   const Chip chip(24, 24);
-  const Simulator simulator;
+  EventSimEngine engine;
   const auto run =
-      simulator.run(assay.graph, schedule, sa.placement, chip);
+      engine.run(assay.graph, schedule, sa.placement, chip).result;
   EXPECT_TRUE(run.success) << run.failure_reason;
   // Leaf dilutions reach protein fraction 1/8.
   double min_fraction = 1.0;

@@ -7,7 +7,7 @@
 
 #include "assay/scheduler.h"
 #include "core/greedy_placer.h"
-#include "sim/simulator.h"
+#include "sim/sim_engine.h"
 
 namespace dmfb {
 namespace {
@@ -17,9 +17,9 @@ double simulate_final_concentration(const AssayCase& assay) {
       list_schedule(assay.graph, assay.binding, assay.scheduler_options);
   const Placement placement = place_greedy(schedule, 24, 24);
   const Chip chip(24, 24);
-  const Simulator simulator;
+  EventSimEngine engine;
   const auto run =
-      simulator.run(assay.graph, schedule, placement, chip);
+      engine.run(assay.graph, schedule, placement, chip).result;
   EXPECT_TRUE(run.success) << run.failure_reason;
   // The last dilute op's output is the target droplet.
   double fraction = -1.0;

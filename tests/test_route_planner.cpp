@@ -6,10 +6,12 @@
 
 #include <cstdint>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "assay/assay_library.h"
+#include "assay/pipeline.h"
 #include "assay/random_assay.h"
 #include "assay/scheduler.h"
 #include "core/greedy_placer.h"
@@ -278,6 +280,73 @@ TEST(RoutePlannerTest, ScratchReuseAcrossChipSizesMatchesFreshScratch) {
   scratch.generation = std::numeric_limits<std::uint32_t>::max() - 1;
   run(scratch, {24, 16, 24}, "wrapped");
   EXPECT_LT(scratch.generation, 1000u);  // the counter wrapped
+}
+
+/// Canonical text form of a changeover; byte-equal strings = identical.
+std::string serialize(const ChangeoverPlan& changeover) {
+  std::ostringstream os;
+  os << "t=" << changeover.time_s << " makespan=" << changeover.makespan_steps
+     << " rounds=" << changeover.negotiation_rounds << '\n';
+  for (const auto& route : changeover.routes) {
+    os << "  " << route.request.label << " (" << route.request.from.x << ','
+       << route.request.from.y << ")->(" << route.request.to.x << ','
+       << route.request.to.y << "):";
+    for (const Point& p : route.positions) os << ' ' << p.x << ',' << p.y;
+    os << '\n';
+  }
+  return os.str();
+}
+
+TEST(RoutePlannerTest, NegotiatedChangeoversMatchAFreshScratch) {
+  // "negotiated" carries one scratch, and with it the congestion history
+  // grid, across the changeovers of a plan. Each changeover must still
+  // come out exactly as it does solved alone on a fresh scratch. Random
+  // assays on a 20x20 chip make several changeovers of one plan rip up
+  // and reroute.
+  const ModuleLibrary library = ModuleLibrary::standard();
+  const RoutePlannerOptions options;
+  const int horizon = routing::resolve_horizon(options, 20, 20);
+  int negotiating_plans = 0;
+  for (int i = 0; i < 20; ++i) {
+    RandomAssayParams params;
+    params.mix_operations = 6 + i % 10;
+    const AssayCase assay = random_assay(
+        params, library, static_cast<std::uint64_t>(7000 + i));
+    PipelineOptions pipeline;
+    pipeline.placer = "greedy";
+    pipeline.placer_context.canvas_width = 20;
+    pipeline.placer_context.canvas_height = 20;
+    pipeline.plan_droplet_routes = false;
+    const PipelineResult placed = SynthesisPipeline(pipeline).run(assay);
+    const Placement& placement = placed.placement.placement;
+    const RoutePlan plan = make_router("negotiated")
+                               ->plan(assay.graph, placed.schedule,
+                                      placement, 20, 20, options);
+    const auto problems = routing::extract_problems(
+        assay.graph, placed.schedule, placement, 20, 20);
+    ASSERT_EQ(plan.changeovers.size() + (plan.success ? 0 : 1),
+              problems.size())
+        << "assay " << i;
+
+    int negotiating = 0;
+    for (std::size_t c = 0; c < problems.size(); ++c) {
+      routing::SearchScratch fresh;
+      std::string failure;
+      const auto alone = routing::solve_negotiated(problems[c], options,
+                                                   horizon, fresh, &failure);
+      if (c == plan.changeovers.size()) {  // the plan's failing changeover
+        EXPECT_FALSE(alone.has_value()) << "assay " << i;
+        EXPECT_EQ(failure, plan.failure_reason) << "assay " << i;
+        continue;
+      }
+      ASSERT_TRUE(alone.has_value()) << "assay " << i << ": " << failure;
+      EXPECT_EQ(serialize(*alone), serialize(plan.changeovers[c]))
+          << "assay " << i << " changeover " << c;
+      if (alone->negotiation_rounds > 0) ++negotiating;
+    }
+    if (negotiating > 1) ++negotiating_plans;
+  }
+  EXPECT_GT(negotiating_plans, 0);
 }
 
 TEST(RoutePlannerTest, WrappedGenerationForgetsEarlierStamps) {

@@ -3,7 +3,7 @@
 // tests/oracles/reference_simulator.h) on events, op_outputs, route
 // accounting and failure reasons — the same pinning discipline the
 // copy/delta annealing engines use — the stall detector's wait-chain
-// reporting, teleport-mode parity, record_events, and the observer.
+// reporting, teleport-mode parity, record_events, and the telemetry.
 #include "sim/sim_engine.h"
 
 #include <gtest/gtest.h>
@@ -68,7 +68,9 @@ void expect_identical(const SimulationResult& event,
 
 SimulationResult event_run(const Synthesized& s, const Chip& chip,
                            const SimOptions& options = {}) {
-  return Simulator(options).run(s.graph, s.schedule, s.placement, chip);
+  return EventSimEngine(options)
+      .run(s.graph, s.schedule, s.placement, chip)
+      .result;
 }
 
 SimulationResult reference_run(const Synthesized& s, const Chip& chip,
@@ -334,29 +336,7 @@ TEST(SimEngineTest, StallDetectorReportsDispenseStarvation) {
                    oracle::run_reference(graph, schedule, placement, chip));
 }
 
-// ---- observer / telemetry / plumbing --------------------------------
-
-TEST(SimEngineTest, ObserverSeesEveryModuleStartAndEnd) {
-  const auto s = pcr_setup();
-  const Chip chip(16, 16);
-  EventSimEngine engine;
-  int starts = 0;
-  int ends = 0;
-  double last_time = 0.0;
-  engine.set_observer([&](const SimUpdate& update) {
-    EXPECT_GE(update.time_s, last_time);  // dispatch order is chronological
-    last_time = update.time_s;
-    EXPECT_TRUE(update.ok);
-    if (update.kind == SimUpdate::Kind::kModuleStart) ++starts;
-    if (update.kind == SimUpdate::Kind::kModuleEnd) ++ends;
-  });
-  const auto run = engine.run(s.graph, s.schedule, s.placement, chip);
-  ASSERT_TRUE(run.result.success);
-  EXPECT_EQ(starts, s.schedule.module_count());
-  EXPECT_EQ(ends, s.schedule.module_count());
-  EXPECT_EQ(run.telemetry.events_dispatched,
-            2LL * s.schedule.module_count());
-}
+// ---- telemetry / plumbing ------------------------------------------
 
 TEST(SimEngineTest, TelemetryCountsRoutesAndGridWork) {
   const auto s = pcr_setup();
@@ -366,7 +346,9 @@ TEST(SimEngineTest, TelemetryCountsRoutesAndGridWork) {
   ASSERT_TRUE(run.result.success);
   EXPECT_EQ(run.telemetry.routes_planned, run.result.routes_planned);
   EXPECT_EQ(run.telemetry.route_cost.count, run.result.routes_planned);
-  EXPECT_GT(run.telemetry.events_dispatched, 0);
+  // One start and one end event per module.
+  EXPECT_EQ(run.telemetry.events_dispatched,
+            2LL * s.schedule.module_count());
   // Every route either fast-pathed or searched; the sum must cover all.
   EXPECT_GT(run.telemetry.manhattan_fast_paths + run.telemetry.astar_pushes,
             0);

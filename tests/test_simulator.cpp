@@ -1,7 +1,7 @@
-// Tests for the droplet-level simulator (sim/simulator.h): assays execute
+// Tests for the droplet-level simulator (sim/sim_engine.h): assays execute
 // correctly on fault-free chips, produce the right mixtures, and stall on
 // faults inside module footprints.
-#include "sim/simulator.h"
+#include "sim/sim_engine.h"
 
 #include <gtest/gtest.h>
 
@@ -31,9 +31,9 @@ PcrSetup pcr_setup(int canvas = 16) {
 TEST(SimulatorTest, PcrCompletesOnHealthyChip) {
   const auto setup = pcr_setup();
   const Chip chip(16, 16);
-  const Simulator simulator;
+  EventSimEngine engine;
   const auto result =
-      simulator.run(setup.graph, setup.schedule, setup.placement, chip);
+      engine.run(setup.graph, setup.schedule, setup.placement, chip).result;
   EXPECT_TRUE(result.success) << result.failure_reason;
   EXPECT_DOUBLE_EQ(result.makespan_s, setup.schedule.makespan_s());
   EXPECT_GT(result.routes_planned, 0);
@@ -43,9 +43,9 @@ TEST(SimulatorTest, PcrCompletesOnHealthyChip) {
 TEST(SimulatorTest, PcrFinalDropletMixesAllEightReagents) {
   const auto setup = pcr_setup();
   const Chip chip(16, 16);
-  const Simulator simulator;
+  EventSimEngine engine;
   const auto result =
-      simulator.run(setup.graph, setup.schedule, setup.placement, chip);
+      engine.run(setup.graph, setup.schedule, setup.placement, chip).result;
   ASSERT_TRUE(result.success) << result.failure_reason;
 
   // Find the root mix M7 and check its output droplet: all 8 reagents at
@@ -73,9 +73,9 @@ TEST(SimulatorTest, FaultInsideModuleStallsAssay) {
   const Point fault{fp.x + fp.width / 2, fp.y + fp.height / 2};
   inject_fault(chip, fault);
 
-  const Simulator simulator;
+  EventSimEngine engine;
   const auto result =
-      simulator.run(setup.graph, setup.schedule, setup.placement, chip);
+      engine.run(setup.graph, setup.schedule, setup.placement, chip).result;
   EXPECT_FALSE(result.success);
   EXPECT_EQ(result.fault_cell, fault);
   EXPECT_GE(result.failed_module, 0);
@@ -86,18 +86,18 @@ TEST(SimulatorTest, FaultOnUnusedCellIsHarmlessWithSpareRoom) {
   const auto setup = pcr_setup(20);
   Chip chip(20, 20);
   inject_fault(chip, Point{19, 19});  // far corner, outside every footprint
-  const Simulator simulator;
+  EventSimEngine engine;
   const auto result =
-      simulator.run(setup.graph, setup.schedule, setup.placement, chip);
+      engine.run(setup.graph, setup.schedule, setup.placement, chip).result;
   EXPECT_TRUE(result.success) << result.failure_reason;
 }
 
 TEST(SimulatorTest, EventsAreChronological) {
   const auto setup = pcr_setup();
   const Chip chip(16, 16);
-  const Simulator simulator;
+  EventSimEngine engine;
   const auto result =
-      simulator.run(setup.graph, setup.schedule, setup.placement, chip);
+      engine.run(setup.graph, setup.schedule, setup.placement, chip).result;
   ASSERT_TRUE(result.success);
   EXPECT_FALSE(result.events.empty());
 }
@@ -107,9 +107,9 @@ TEST(SimulatorTest, RoutingCanBeDisabled) {
   const Chip chip(16, 16);
   SimOptions options;
   options.verify_routing = false;
-  const Simulator simulator(options);
+  EventSimEngine engine(options);
   const auto result =
-      simulator.run(setup.graph, setup.schedule, setup.placement, chip);
+      engine.run(setup.graph, setup.schedule, setup.placement, chip).result;
   EXPECT_TRUE(result.success);
   EXPECT_EQ(result.routes_planned, 0);
 }
@@ -117,9 +117,9 @@ TEST(SimulatorTest, RoutingCanBeDisabled) {
 TEST(SimulatorTest, ChipSmallerThanPlacementThrows) {
   const auto setup = pcr_setup();
   const Chip chip(4, 4);
-  const Simulator simulator;
+  EventSimEngine engine;
   EXPECT_THROW(
-      simulator.run(setup.graph, setup.schedule, setup.placement, chip),
+      engine.run(setup.graph, setup.schedule, setup.placement, chip),
       std::invalid_argument);
 }
 
@@ -128,9 +128,9 @@ TEST(SimulatorTest, MismatchedScheduleAndPlacementThrow) {
   Schedule truncated;
   truncated.add(setup.schedule.module(0));
   const Chip chip(16, 16);
-  const Simulator simulator;
+  EventSimEngine engine;
   EXPECT_THROW(
-      simulator.run(setup.graph, truncated, setup.placement, chip),
+      engine.run(setup.graph, truncated, setup.placement, chip),
       std::invalid_argument);
 }
 
@@ -141,9 +141,9 @@ TEST(SimulatorTest, DilutionAssayProducesSerialConcentrations) {
       list_schedule(assay.graph, assay.binding, assay.scheduler_options);
   const Placement placement = place_greedy(schedule, 20, 20);
   const Chip chip(20, 20);
-  const Simulator simulator;
+  EventSimEngine engine;
   const auto result =
-      simulator.run(assay.graph, schedule, placement, chip);
+      engine.run(assay.graph, schedule, placement, chip).result;
   ASSERT_TRUE(result.success) << result.failure_reason;
   // Root dilution: protein at 1/2. Second level: 1/4.
   for (const auto& op : assay.graph.operations()) {
@@ -160,9 +160,9 @@ TEST(SimulatorTest, DilutionAssayProducesSerialConcentrations) {
 TEST(SimulatorTest, TransportStatsAccumulate) {
   const auto setup = pcr_setup();
   const Chip chip(16, 16);
-  const Simulator simulator;
+  EventSimEngine engine;
   const auto result =
-      simulator.run(setup.graph, setup.schedule, setup.placement, chip);
+      engine.run(setup.graph, setup.schedule, setup.placement, chip).result;
   ASSERT_TRUE(result.success);
   EXPECT_GT(result.transport_seconds, 0.0);
   // At 13 cells/s, transport seconds = cells / 13.
